@@ -32,7 +32,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ContractError, DivergenceError
-from .hamiltonian import LocalHamiltonian
+from .hamiltonian import LocalHamiltonian, StepPlan
 from .integrate import rk4_step, time_grid
 from .lattice import Patch, PatchCover, apply_local, embed_operator, operator_support
 from .linalg import as_state, polar_unitary, require_unitary, unitarity_defect
@@ -103,8 +103,10 @@ class DefectReport:
 class GaugeState:
     """Local wavefunctions plus frame/connection unitaries on a patch cover.
 
-    Treat instances as immutable: evolution and transformation functions
-    return new states. Observable queries are read-only.
+    In generator mode the frames are one (P, D, D) array, `frame_stack`, in
+    cover order; `frames` maps each patch to its view. Treat instances as
+    immutable: evolution and transformation functions return new states.
+    Observable queries are read-only.
     """
 
     def __init__(
@@ -114,7 +116,7 @@ class GaugeState:
         time: float,
         steps: int,
         psi: dict[Patch, np.ndarray],
-        frames: dict[Patch, np.ndarray] | None = None,
+        frame_stack: np.ndarray | None = None,
         base: np.ndarray | None = None,
         connections: dict[tuple[int, int], np.ndarray] | None = None,
         dressing: dict[Patch, np.ndarray] | None = None,
@@ -126,7 +128,7 @@ class GaugeState:
         self.time = float(time)
         self.steps = int(steps)
         self.psi = psi
-        self.frames = frames
+        self.frame_stack = frame_stack
         self.base = base
         self.connections = connections
         self.dressing = dressing or {}
@@ -140,7 +142,7 @@ class GaugeState:
             time=self.time,
             steps=self.steps,
             psi=self.psi,
-            frames=self.frames,
+            frame_stack=self.frame_stack,
             base=self.base,
             connections=self.connections,
             dressing=self.dressing,
@@ -158,6 +160,13 @@ class GaugeState:
     def dim(self) -> int:
         return self.cover.dim
 
+    @property
+    def frames(self) -> dict[Patch, np.ndarray] | None:
+        """Each patch's frame unitary, as a view into `frame_stack`."""
+        if self.frame_stack is None:
+            return None
+        return dict(zip(self.cover.patches, self.frame_stack))
+
     def dressing_of(self, patch: Patch) -> np.ndarray | None:
         """Accumulated frame change relative to the plain-operator gauge, or None."""
         return self.dressing.get(patch)
@@ -169,7 +178,7 @@ class GaugeState:
         if ia == ib:
             return np.eye(self.dim, dtype=np.complex128)
         if self.mode == GENERATOR:
-            return self.frames[a] @ self.frames[b].conj().T
+            return self.frame_stack[ia] @ self.frame_stack[ib].conj().T
         return self._direct_connection(ia, ib)
 
     def _stored_connection(self, i: int, j: int) -> np.ndarray | None:
@@ -279,16 +288,15 @@ class GaugeState:
         consistency = 0.0
         for i, j in self._consistency_pairs():
             if self.mode == GENERATOR:
-                w = self.frames[patches[i]] @ (
-                    self.frames[patches[j]].conj().T @ self.psi[patches[j]]
-                )
+                frames = self.frame_stack
+                w = frames[i] @ (frames[j].conj().T @ self.psi[patches[j]])
             else:
                 w = self._stored_connection(i, j) @ self.psi[patches[j]]
             consistency = max(
                 consistency, float(np.linalg.norm(w - self.psi[patches[i]]))
             )
         unitarity = 0.0
-        mats = self.frames.values() if self.mode == GENERATOR else self.connections.values()
+        mats = self.frame_stack if self.mode == GENERATOR else self.connections.values()
         for m in mats:
             unitarity = max(unitarity, unitarity_defect(m))
         norm = max(
@@ -324,20 +332,9 @@ class GaugeState:
 
 def required_pairs(cover: PatchCover, hml: LocalHamiltonian | None) -> set[tuple[int, int]]:
     """Connection pairs the direct-mode equations of motion will read."""
-    pairs = set(cover.overlap_pairs())
-    if hml is not None:
-        for gt in hml.gen_terms:
-            targets = [
-                i
-                for i, p in enumerate(cover.patches)
-                if gt.union_sites & set(p.sites)
-            ]
-            for i in targets:
-                for p in gt.patches:
-                    j = cover.index(p)
-                    if i != j:
-                        pairs.add((min(i, j), max(i, j)))
-    return pairs
+    if hml is None:
+        return set(cover.overlap_pairs())
+    return set(hml.step_plan(cover).connection_keys)
 
 
 def init_gauge_state(
@@ -353,18 +350,11 @@ def init_gauge_state(
     norm = float(np.linalg.norm(psi0))
     if abs(norm - 1.0) > 1e-10:
         raise ContractError(f"psi0 must be normalized, got norm {norm!r}")
-    psi = {p: psi0.copy() for p in cover.patches}
+    psi = dict(zip(cover.patches, np.repeat(psi0[None, :], len(cover), axis=0)))
     eye = np.eye(cover.dim, dtype=np.complex128)
     if mode == GENERATOR:
-        return GaugeState(
-            cover,
-            GENERATOR,
-            0.0,
-            0,
-            psi,
-            frames={p: eye.copy() for p in cover.patches},
-            base=psi0.copy(),
-        )
+        frames = np.repeat(eye[None], len(cover), axis=0)
+        return GaugeState(cover, GENERATOR, 0.0, 0, psi, frame_stack=frames, base=psi0.copy())
     if mode == DIRECT:
         conns = {key: eye.copy() for key in sorted(required_pairs(cover, hamiltonian))}
         return GaugeState(cover, DIRECT, 0.0, 0, psi, connections=conns)
@@ -376,21 +366,44 @@ def init_gauge_state(
 # ---------------------------------------------------------------------------
 
 
-def _dressed_global_term(state: GaugeState, hml: LocalHamiltonian, i: int) -> np.ndarray:
-    term = hml.terms[i]
-    mat = hml.embedded_term(i)
-    d = state.dressing_of(term.patch)
+def _conjugated(
+    op: np.ndarray, patch: Patch, n: int, c: np.ndarray | None, d: np.ndarray | None
+) -> np.ndarray:
+    """(c d) embed(op) (c d)^dag without forming embed(op); None stands for the identity."""
     if d is not None:
-        mat = d @ mat @ d.conj().T
-    return mat
+        c = d if c is None else c @ d
+    if c is None:
+        return apply_local(op, patch, n, np.eye(2**n, dtype=np.complex128))
+    return c @ apply_local(op, patch, n, c.conj().T)
 
 
-def _dressed_global_factor(state: GaugeState, hml: LocalHamiltonian, g: int, k: int) -> np.ndarray:
-    mat = hml.embedded_factor(g, k)
-    d = state.dressing_of(hml.gen_terms[g].patches[k])
-    if d is not None:
-        mat = d @ mat @ d.conj().T
-    return mat
+def _neighborhood(
+    plan: StepPlan,
+    n: int,
+    dress: Sequence[np.ndarray | None],
+    i: int,
+    t: float,
+    conn: Callable[[int, int], np.ndarray],
+) -> np.ndarray:
+    """Terms touching patch i at time t, transported into its frame.
+
+    `conn(i, j)` is the connection from patch j to patch i (j != i); a term
+    carried by patch j enters as c @ D_j h_j D_j^dag @ c^dag.
+    """
+    patches = plan.patches
+    out = np.zeros((2**n, 2**n), dtype=np.complex128)
+    for k in plan.local_nbr[i]:
+        j = plan.carriers[k]
+        c = None if j == i else conn(i, j)
+        out += _conjugated(plan.local_op(k, t), patches[j], n, c, dress[j])
+    for g in plan.gen_nbr[i]:
+        prod = None
+        for j, fac in plan.gen_places[g]:
+            c = None if j == i else conn(i, j)
+            w = _conjugated(fac, patches[j], n, c, dress[j])
+            prod = w if prod is None else prod @ w
+        out += plan.gen_terms[g].coeff(t) * prod
+    return out
 
 
 def effective_hamiltonian(
@@ -406,23 +419,16 @@ def effective_hamiltonian(
         raise ContractError("state and Hamiltonian use different covers")
     if patch not in state.cover:
         raise ContractError(f"{patch} is not a patch of the cover")
-    t = state.time
-    out = np.zeros((state.dim, state.dim), dtype=np.complex128)
-    for i in hml.term_indices_overlapping(patch):
-        term = hml.terms[i]
-        c = state.connection(patch, term.patch)
-        out += term.coefficient(t) * (
-            c @ _dressed_global_term(state, hml, i) @ c.conj().T
-        )
-    for g in hml.gen_indices_overlapping(patch):
-        gt = hml.gen_terms[g]
-        prod = None
-        for k in range(len(gt.patches)):
-            c = state.connection(patch, gt.patches[k])
-            w = c @ _dressed_global_factor(state, hml, g, k) @ c.conj().T
-            prod = w if prod is None else prod @ w
-        out += gt.coeff(t) * prod
-    return out
+    plan = hml.step_plan(state.cover)
+    patches = plan.patches
+    return _neighborhood(
+        plan,
+        state.n_sites,
+        [state.dressing_of(p) for p in patches],
+        state.cover.index(patch),
+        state.time,
+        lambda i, j: state.connection(patches[i], patches[j]),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -430,193 +436,48 @@ def effective_hamiltonian(
 # ---------------------------------------------------------------------------
 
 
-class _GeneratorContext:
-    """Precomputed structure for the frame-evolution right-hand side.
+def _frame_rhs(
+    plan: StepPlan, n: int, dress: Sequence[np.ndarray | None], t: float, frames: np.ndarray
+) -> np.ndarray:
+    """dU/dt for the (P, D, D) frame stack: dU_I = -i U_I R_I, where
 
-    The stage derivative is dU_I = -i U_I R_I with
-    R_I = sum_(terms on J ov I) V_J^dag H_J V_J
+    R_I = sum_(carriers J ov I) V_J^dag h_J V_J
         + sum_(products ov I) h prod_k V_K^dag tau_k V_K,
-    V_J = D_J^dag U_J. R_I is assembled from per-patch sandwiches shared by
-    all target patches.
+
+    with V_J = D_J^dag U_J. The sandwiches are shared by all target patches.
     """
-
-    def __init__(self, state: GaugeState, hml: LocalHamiltonian):
-        cover = state.cover
-        self.n = cover.n_sites
-        self.patches = list(cover.patches)
-        self.order = {p: i for i, p in enumerate(self.patches)}
-        self.dress = [state.dressing_of(p) for p in self.patches]
-        # group plain terms by carrying patch
-        self.terms_by_patch: dict[int, list[int]] = {}
-        for i, term in enumerate(hml.terms):
-            self.terms_by_patch.setdefault(self.order[term.patch], []).append(i)
-        self.static_local: dict[int, np.ndarray | None] = {}
-        for j, idxs in self.terms_by_patch.items():
-            if all(hml.terms[i].time_dependence is None for i in idxs):
-                acc = sum(hml.terms[i].op for i in idxs)
-                self.static_local[j] = np.asarray(acc, dtype=np.complex128)
-            else:
-                self.static_local[j] = None
-        self.hml = hml
-        self.gen_terms = [
-            (g, [(self.order[p], f) for p, f in zip(gt.patches, gt.factors)])
-            for g, gt in enumerate(hml.gen_terms)
-        ]
-        self.local_nbr: list[list[int]] = []
-        self.gen_nbr: list[list[int]] = []
-        for i, p in enumerate(self.patches):
-            self.local_nbr.append(
-                [j for j in self.terms_by_patch if self.patches[j].overlaps(p)]
-            )
-            psites = set(p.sites)
-            self.gen_nbr.append(
-                [
-                    g
-                    for g, gt in enumerate(hml.gen_terms)
-                    if gt.union_sites & psites
-                ]
-            )
-
-    def _term_local(self, j: int, t: float) -> np.ndarray:
-        static = self.static_local[j]
-        if static is not None:
-            return static
-        acc = None
-        for i in self.terms_by_patch[j]:
-            term = self.hml.terms[i]
-            contrib = term.coefficient(t) * term.op
-            acc = contrib if acc is None else acc + contrib
-        return acc
-
-    def deriv(self, t: float, frames: list[np.ndarray]) -> list[np.ndarray]:
-        effective = [self.dress[i] is not None for i in range(len(frames))]
-        views = [
-            f if not eff else self.dress[i].conj().T @ f
-            for i, (f, eff) in enumerate(zip(frames, effective))
-        ]
-        sandwiches: dict[int, np.ndarray] = {}
-        for j in self.terms_by_patch:
+    views = frames
+    if any(d is not None for d in dress):
+        views = frames.copy()
+        for i, d in enumerate(dress):
+            if d is not None:
+                views[i] = d.conj().T @ frames[i]
+    patches = plan.patches
+    sandwiches = []
+    for k, j in enumerate(plan.carriers):
+        v = views[j]
+        sandwiches.append(v.conj().T @ apply_local(plan.local_op(k, t), patches[j], n, v))
+    products = []
+    for g, placed in enumerate(plan.gen_places):
+        prod = None
+        for j, fac in placed:
             v = views[j]
-            hv = apply_local(self._term_local(j, t), self.patches[j], self.n, v)
-            sandwiches[j] = v.conj().T @ hv
-        products: dict[int, np.ndarray] = {}
-        for g, placed in self.gen_terms:
-            prod = None
-            for j, fac in placed:
-                v = views[j]
-                w = v.conj().T @ apply_local(fac, self.patches[j], self.n, v)
-                prod = w if prod is None else prod @ w
-            products[g] = prod
-        derivs = []
-        for i, frame in enumerate(frames):
-            r = None
-            for j in self.local_nbr[i]:
-                r = sandwiches[j] if r is None else r + sandwiches[j]
-            for g in self.gen_nbr[i]:
-                contrib = self.hml.gen_terms[g].coeff(t) * products[g]
-                r = contrib if r is None else r + contrib
-            if r is None:
-                derivs.append(np.zeros_like(frame))
-            else:
-                derivs.append(-1j * (frame @ r))
-        return derivs
-
-
-class _DirectContext:
-    """Right-hand side for the verbatim psi/connection equations."""
-
-    def __init__(self, state: GaugeState, hml: LocalHamiltonian):
-        cover = state.cover
-        self.n = cover.n_sites
-        self.dim = cover.dim
-        self.patches = list(cover.patches)
-        self.order = {p: i for i, p in enumerate(self.patches)}
-        self.keys = sorted(state.connections.keys())
-        self.key_pos = {k: i for i, k in enumerate(self.keys)}
-        self.hml = hml
-        self.n_patches = len(self.patches)
-        # dressed embedded terms, grouped by carrying patch
-        self.terms_by_patch: dict[int, list[int]] = {}
-        for i, term in enumerate(hml.terms):
-            self.terms_by_patch.setdefault(self.order[term.patch], []).append(i)
-        self.term_mats = [_dressed_global_term(state, hml, i) for i in range(len(hml.terms))]
-        self.static_sum: dict[int, np.ndarray | None] = {}
-        for j, idxs in self.terms_by_patch.items():
-            if all(hml.terms[i].time_dependence is None for i in idxs):
-                self.static_sum[j] = sum(self.term_mats[i] for i in idxs)
-            else:
-                self.static_sum[j] = None
-        self.factor_mats = {
-            (g, k): _dressed_global_factor(state, hml, g, k)
-            for g, gt in enumerate(hml.gen_terms)
-            for k in range(len(gt.patches))
-        }
-        self.local_nbr = [
-            [j for j in self.terms_by_patch if self.patches[j].overlaps(p)]
-            for p in self.patches
-        ]
-        self.gen_nbr = [
-            [
-                g
-                for g, gt in enumerate(hml.gen_terms)
-                if gt.union_sites & set(p.sites)
-            ]
-            for p in self.patches
-        ]
-        self.gen_patch_idx = [
-            [self.order[p] for p in gt.patches] for gt in hml.gen_terms
-        ]
-
-    def conn(self, conns: list[np.ndarray], i: int, j: int) -> np.ndarray:
-        if i == j:
-            return np.eye(self.dim, dtype=np.complex128)
-        key = (min(i, j), max(i, j))
-        pos = self.key_pos.get(key)
-        if pos is None:
-            raise ContractError(
-                f"direct mode is missing the connection for patches "
-                f"{self.patches[key[0]]} and {self.patches[key[1]]}; "
-                "initialize the state with the Hamiltonian"
-            )
-        c = conns[pos]
-        return c if i < j else c.conj().T
-
-    def _neighborhood(self, t: float, conns: list[np.ndarray], i: int) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for j in self.local_nbr[i]:
-            static = self.static_sum[j]
-            if static is None:
-                static = sum(
-                    self.hml.terms[k].coefficient(t) * self.term_mats[k]
-                    for k in self.terms_by_patch[j]
-                )
-            if i == j:
-                out += static
-            else:
-                c = self.conn(conns, i, j)
-                out += c @ static @ c.conj().T
-        for g in self.gen_nbr[i]:
-            gt = self.hml.gen_terms[g]
-            prod = None
-            for k, jk in enumerate(self.gen_patch_idx[g]):
-                fac = self.factor_mats[(g, k)]
-                if i != jk:
-                    c = self.conn(conns, i, jk)
-                    fac = c @ fac @ c.conj().T
-                prod = fac if prod is None else prod @ fac
-            out += gt.coeff(t) * prod
-        return out
-
-    def deriv(self, t: float, y: list[np.ndarray]) -> list[np.ndarray]:
-        psis = y[: self.n_patches]
-        conns = y[self.n_patches :]
-        h_eff = [self._neighborhood(t, conns, i) for i in range(self.n_patches)]
-        d_psi = [-1j * (h_eff[i] @ psis[i]) for i in range(self.n_patches)]
-        d_conn = [
-            -1j * (h_eff[i] @ c) + 1j * (c @ h_eff[j])
-            for (i, j), c in zip(self.keys, conns)
-        ]
-        return d_psi + d_conn
+            w = v.conj().T @ apply_local(fac, patches[j], n, v)
+            prod = w if prod is None else prod @ w
+        products.append(plan.gen_terms[g].coeff(t) * prod)
+    dframes = np.empty_like(frames)
+    for i in range(len(patches)):
+        r = None
+        for k in plan.local_nbr[i]:
+            r = sandwiches[k] if r is None else r + sandwiches[k]
+        for g in plan.gen_nbr[i]:
+            r = products[g] if r is None else r + products[g]
+        if r is None:
+            dframes[i] = 0.0
+        else:
+            np.matmul(frames[i], r, out=dframes[i])
+            dframes[i] *= -1j  # while the product is still in cache
+    return dframes
 
 
 def _require_finite(arrays: Iterable[np.ndarray], time: float, steps: int) -> None:
@@ -634,62 +495,81 @@ def step(
     """Advance one RK4 step of config.dt, returning a new state."""
     if state.cover != hml.cover:
         raise ContractError("state and Hamiltonian use different covers")
-    if state.mode == DIRECT:
-        missing = required_pairs(state.cover, hml) - set(state.connections)
-        if missing:
-            if state.steps == 0 and state.time == 0.0:
-                eye = np.eye(state.dim, dtype=np.complex128)
-                conns = dict(state.connections)
-                for key in sorted(missing):
-                    conns[key] = eye.copy()
-                state = state._replace(connections=conns)
-            else:
-                raise ContractError(
-                    "direct-mode state lacks connections required by this "
-                    "Hamiltonian; initialize with init_gauge_state(..., hamiltonian=...)"
-                )
+    plan = hml.step_plan(state.cover)
+    patches = plan.patches
+    n = state.n_sites
     dt = config.dt
-    patches = list(state.cover.patches)
+    t_next = state.time + dt
+    new_steps = state.steps + 1
+    reunitarize = bool(config.reunitarize_every) and new_steps % config.reunitarize_every == 0
+    dress = [state.dressing_of(p) for p in patches]
     if state.mode == GENERATOR:
-        ctx = _GeneratorContext(state, hml)
-        frames = [state.frames[p] for p in patches]
         with np.errstate(invalid="ignore", over="ignore"):
-            frames = rk4_step(frames, state.time, dt, ctx.deriv)
-        new_steps = state.steps + 1
-        _require_finite(frames, state.time + dt, new_steps)
-        if config.reunitarize_every and new_steps % config.reunitarize_every == 0:
-            frames = [polar_unitary(f) for f in frames]
-        psi = {p: f @ state.base for p, f in zip(patches, frames)}
+            (frames,) = rk4_step(
+                [state.frame_stack],
+                state.time,
+                dt,
+                lambda t, y: [_frame_rhs(plan, n, dress, t, y[0])],
+            )
+        _require_finite([frames], t_next, new_steps)
+        if reunitarize:
+            frames = _reunitarized(frames, t_next, new_steps)
+        psi = frames @ state.base
         if config.renormalize:
-            psi = {p: v / np.linalg.norm(v) for p, v in psi.items()}
-        new = state._replace(
-            time=state.time + dt,
-            steps=new_steps,
-            psi=psi,
-            frames=dict(zip(patches, frames)),
+            psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+        return state._replace(
+            time=t_next, steps=new_steps, psi=dict(zip(patches, psi)), frame_stack=frames
         )
-    else:
-        ctx = _DirectContext(state, hml)
-        y = [state.psi[p] for p in patches] + [
-            state.connections[k] for k in ctx.keys
+    connections = state.connections
+    missing = [key for key in plan.connection_keys if key not in connections]
+    if missing:
+        if state.steps or state.time:
+            raise ContractError(
+                "direct-mode state lacks connections required by this "
+                "Hamiltonian; initialize with init_gauge_state(..., hamiltonian=...)"
+            )
+        eye = np.eye(state.dim, dtype=np.complex128)
+        connections = {**connections, **{key: eye.copy() for key in missing}}
+    keys = sorted(connections)
+    count = len(patches)
+    pos = {key: count + m for m, key in enumerate(keys)}
+
+    def rhs(t: float, y: list[np.ndarray]) -> list[np.ndarray]:
+        def conn(i: int, j: int) -> np.ndarray:
+            c = y[pos[(min(i, j), max(i, j))]]
+            return c if i < j else c.conj().T
+
+        h_eff = [_neighborhood(plan, n, dress, i, t, conn) for i in range(count)]
+        return [-1j * (h @ v) for h, v in zip(h_eff, y[:count])] + [
+            -1j * (h_eff[i] @ c) + 1j * (c @ h_eff[j])
+            for (i, j), c in zip(keys, y[count:])
         ]
-        with np.errstate(invalid="ignore", over="ignore"):
-            y = rk4_step(y, state.time, dt, ctx.deriv)
-        psis = y[: len(patches)]
-        conns = y[len(patches) :]
-        new_steps = state.steps + 1
-        _require_finite(y, state.time + dt, new_steps)
-        if config.reunitarize_every and new_steps % config.reunitarize_every == 0:
-            conns = [polar_unitary(c) for c in conns]
-        if config.renormalize:
-            psis = [v / np.linalg.norm(v) for v in psis]
-        new = state._replace(
-            time=state.time + dt,
-            steps=new_steps,
-            psi=dict(zip(patches, psis)),
-            connections=dict(zip(ctx.keys, conns)),
-        )
-    return new
+
+    y = [state.psi[p] for p in patches] + [connections[key] for key in keys]
+    with np.errstate(invalid="ignore", over="ignore"):
+        y = rk4_step(y, state.time, dt, rhs)
+    _require_finite(y, t_next, new_steps)
+    psis, conns = y[:count], y[count:]
+    if reunitarize:
+        conns = [_reunitarized(c, t_next, new_steps) for c in conns]
+    if config.renormalize:
+        psis = [v / np.linalg.norm(v) for v in psis]
+    return state._replace(
+        time=t_next,
+        steps=new_steps,
+        psi=dict(zip(patches, psis)),
+        connections=dict(zip(keys, conns)),
+    )
+
+
+def _reunitarized(mats: np.ndarray, time: float, steps: int) -> np.ndarray:
+    """Polar re-unitarization; a failure there means the integration has diverged."""
+    try:
+        return polar_unitary(mats)
+    except ContractError as exc:
+        raise DivergenceError(
+            f"re-unitarization failed at t={time:.6g}, step {steps} ({exc}); reduce dt"
+        ) from exc
 
 
 def evolve(
@@ -699,10 +579,19 @@ def evolve(
     config: IntegratorConfig,
     callback: Callable[[GaugeState], None] | None = None,
 ) -> GaugeState:
-    """Step from state.time to t_final (shortened final step if dt does not divide)."""
-    for h in time_grid(state.time, t_final, config.dt):
+    """Step from state.time to t_final (shortened final step if dt does not divide).
+
+    The clock is the start time plus the step count times dt, and the last
+    step lands exactly on t_final, so no rounding accumulates over steps.
+    """
+    t_start = state.time
+    sizes = time_grid(t_start, t_final, config.dt)
+    for k, h in enumerate(sizes, start=1):
         cfg = config if h == config.dt else dc_replace(config, dt=h)
         state = step(state, hml, cfg)
+        clock = t_final if k == len(sizes) else t_start + k * config.dt
+        if state.time != clock:
+            state = state._replace(time=clock)
         if callback is not None:
             callback(state)
     return state
@@ -723,9 +612,11 @@ def gauge_transform(state: GaugeState, transform: GaugeTransform) -> GaugeState:
         d = state.dressing_of(p)
         new_dressing[p] = factors[p] if d is None else factors[p] @ d
     if state.mode == GENERATOR:
-        frames = {p: factors[p] @ state.frames[p] for p in patches}
-        psi = {p: frames[p] @ state.base for p in patches}
-        return state._replace(frames=frames, psi=psi, dressing=new_dressing)
+        frames = np.empty_like(state.frame_stack)
+        for i, p in enumerate(patches):
+            np.matmul(factors[p], state.frame_stack[i], out=frames[i])
+        psi = dict(zip(patches, frames @ state.base))
+        return state._replace(frame_stack=frames, psi=psi, dressing=new_dressing)
     psi = {p: factors[p] @ state.psi[p] for p in patches}
     conns = {
         (i, j): factors[patches[i]] @ c @ factors[patches[j]].conj().T
@@ -784,26 +675,25 @@ def apply_commuting_layer(
     n = state.n_sites
     gate_patches = sorted(checked.keys())
     if state.mode == GENERATOR:
-        views = {}
+        sandwiches = {}
         for gp in gate_patches:
-            u = state.frames[gp]
+            u = state.frame_stack[cover.index(gp)]
             d = state.dressing_of(gp)
-            views[gp] = u if d is None else d.conj().T @ u
-        sandwiches = {
-            gp: views[gp].conj().T @ apply_local(checked[gp], gp, n, views[gp])
-            for gp in gate_patches
-        }
-        frames = {}
-        for p in patches:
+            v = u if d is None else d.conj().T @ u
+            sandwiches[gp] = v.conj().T @ apply_local(checked[gp], gp, n, v)
+        frames = np.empty_like(state.frame_stack)
+        for i, p in enumerate(patches):
             w = None
             for gp in gate_patches:
                 if gp.overlaps(p):
                     w = sandwiches[gp] if w is None else w @ sandwiches[gp]
-            frames[p] = state.frames[p] if w is None else state.frames[p] @ w
-        psi = {p: frames[p] @ state.base for p in patches}
-        return state._replace(frames=frames, psi=psi)
+            if w is None:
+                frames[i] = state.frame_stack[i]
+            else:
+                np.matmul(state.frame_stack[i], w, out=frames[i])
+        psi = dict(zip(patches, frames @ state.base))
+        return state._replace(frame_stack=frames, psi=psi)
     # direct mode: build the transported layer unitary per patch
-    eye = np.eye(state.dim, dtype=np.complex128)
     layer_ops: list[np.ndarray | None] = []
     for i, p in enumerate(patches):
         w = None
@@ -811,21 +701,8 @@ def apply_commuting_layer(
             if not gp.overlaps(p):
                 continue
             j = cover.index(gp)
-            d = state.dressing_of(gp)
-            if i == j:
-                g_global = embed_operator(checked[gp], gp, n)
-                if d is not None:
-                    g_global = d @ g_global @ d.conj().T
-                contrib = g_global
-            else:
-                c = state._stored_connection(i, j)
-                if c is None:
-                    c = state._direct_connection(i, j)
-                if d is None:
-                    contrib = apply_local(checked[gp], gp, n, c, side="right") @ c.conj().T
-                else:
-                    g_global = d @ embed_operator(checked[gp], gp, n) @ d.conj().T
-                    contrib = c @ g_global @ c.conj().T
+            c = None if i == j else state._direct_connection(i, j)
+            contrib = _conjugated(checked[gp], gp, n, c, state.dressing_of(gp))
             w = contrib if w is None else w @ contrib
         layer_ops.append(w)
     psi = {

@@ -109,6 +109,83 @@ class GeneralizedTerm:
         return frozenset(s for p in self.patches for s in p.sites)
 
 
+@dataclass(frozen=True)
+class StepPlan:
+    """Which Hamiltonian terms touch which patch, for one (Hamiltonian, cover).
+
+    Built once per pair by `LocalHamiltonian.step_plan` and read by every
+    evaluation of the equations of motion. Patch indices follow `patches`,
+    the cover's order; plain terms are grouped by the patch carrying them
+    ("carriers", in order of first appearance).
+    """
+
+    patches: tuple[Patch, ...]
+    carriers: tuple[int, ...]
+    carrier_terms: tuple[tuple[LocalTerm, ...], ...]
+    static_ops: tuple[np.ndarray | None, ...]  # summed op per carrier; None if time-dependent
+    local_nbr: tuple[tuple[int, ...], ...]  # per patch: positions of the carriers overlapping it
+    gen_terms: tuple[GeneralizedTerm, ...]
+    gen_places: tuple[tuple[tuple[int, np.ndarray], ...], ...]  # per term: (patch index, factor)
+    gen_nbr: tuple[tuple[int, ...], ...]  # per patch: generalized terms touching its sites
+    connection_keys: tuple[tuple[int, int], ...]  # sorted pairs the direct mode stores
+
+    @classmethod
+    def build(cls, hml: "LocalHamiltonian", cover: PatchCover) -> "StepPlan":
+        patches = cover.patches
+        grouped: dict[int, list[LocalTerm]] = {}
+        for term in hml.terms:
+            grouped.setdefault(cover.index(term.patch), []).append(term)
+        carriers = tuple(grouped)
+        carrier_terms = tuple(tuple(grouped[j]) for j in carriers)
+        static_ops = tuple(
+            np.asarray(sum(t.op for t in terms), dtype=np.complex128)
+            if all(t.time_dependence is None for t in terms)
+            else None
+            for terms in carrier_terms
+        )
+        gen_places = tuple(
+            tuple((cover.index(p), f) for p, f in zip(gt.patches, gt.factors))
+            for gt in hml.gen_terms
+        )
+        gen_nbr = tuple(
+            tuple(
+                g
+                for g, gt in enumerate(hml.gen_terms)
+                if gt.union_sites & set(p.sites)
+            )
+            for p in patches
+        )
+        keys = set(cover.overlap_pairs())
+        for i, touching in enumerate(gen_nbr):
+            for g in touching:
+                keys.update((min(i, j), max(i, j)) for j, _ in gen_places[g] if j != i)
+        return cls(
+            patches=patches,
+            carriers=carriers,
+            carrier_terms=carrier_terms,
+            static_ops=static_ops,
+            local_nbr=tuple(
+                tuple(k for k, j in enumerate(carriers) if patches[j].overlaps(p))
+                for p in patches
+            ),
+            gen_terms=hml.gen_terms,
+            gen_places=gen_places,
+            gen_nbr=gen_nbr,
+            connection_keys=tuple(sorted(keys)),
+        )
+
+    def local_op(self, k: int, t: float) -> np.ndarray:
+        """Summed patch-local operator of carrier k at time t."""
+        static = self.static_ops[k]
+        if static is not None:
+            return static
+        acc = None
+        for term in self.carrier_terms[k]:
+            contrib = term.coefficient(t) * term.op
+            acc = contrib if acc is None else acc + contrib
+        return acc
+
+
 class LocalHamiltonian:
     """H = sum of patch terms plus generalized multi-patch terms on a cover."""
 
@@ -130,6 +207,7 @@ class LocalHamiltonian:
                     raise ContractError(f"generalized-term patch {p} not in cover")
         self._embedded_terms: list[np.ndarray | None] = [None] * len(self.terms)
         self._embedded_factors: dict[tuple[int, int], np.ndarray] = {}
+        self._plans: dict[tuple[Patch, ...], StepPlan] = {}
         if self.gen_terms:
             gen_sum = self._gen_sum(0.0)
             defect = hermiticity_defect(gen_sum)
@@ -150,6 +228,16 @@ class LocalHamiltonian:
             callable(g.coefficient) for g in self.gen_terms
         )
 
+    def step_plan(self, cover: PatchCover | None = None) -> StepPlan:
+        """The cached term-to-patch plan for `cover` (default: this cover's order)."""
+        cover = self.cover if cover is None else cover
+        plan = self._plans.get(cover.patches)
+        if plan is None:
+            if cover != self.cover:
+                raise ContractError("cover does not match the Hamiltonian's cover")
+            plan = self._plans[cover.patches] = StepPlan.build(self, cover)
+        return plan
+
     # -- embedded-matrix caches ----------------------------------------
 
     def embedded_term(self, i: int) -> np.ndarray:
@@ -168,21 +256,6 @@ class LocalHamiltonian:
                 gt.factors[k], gt.patches[k], self.n_sites
             )
         return self._embedded_factors[key]
-
-    # -- overlap scans ---------------------------------------------------
-
-    def term_indices_overlapping(self, patch: Patch) -> tuple[int, ...]:
-        return tuple(
-            i for i, t in enumerate(self.terms) if t.patch.overlaps(patch)
-        )
-
-    def gen_indices_overlapping(self, patch: Patch) -> tuple[int, ...]:
-        psites = set(patch.sites)
-        return tuple(
-            g
-            for g, gt in enumerate(self.gen_terms)
-            if gt.union_sites & psites
-        )
 
     # -- dense evaluation --------------------------------------------------
 
@@ -214,9 +287,10 @@ class LocalHamiltonian:
             raise ContractError(f"{patch} is not a patch of the cover")
         dim = self.cover.dim
         out = np.zeros((dim, dim), dtype=np.complex128)
-        for i in self.term_indices_overlapping(patch):
-            out += self.terms[i].coefficient(t) * self.embedded_term(i)
-        gen = self.gen_indices_overlapping(patch)
+        for i, term in enumerate(self.terms):
+            if term.patch.overlaps(patch):
+                out += term.coefficient(t) * self.embedded_term(i)
+        gen = [g for g, gt in enumerate(self.gen_terms) if gt.union_sites & set(patch.sites)]
         if gen:
             out += self._gen_sum(t, gen)
         return out

@@ -195,6 +195,12 @@ def apply_local(op, where: Patch | Iterable[int], n: int, target, side: str = "l
     if target.shape[0] != dim:
         raise ContractError(f"target dim {target.shape[0]} != 2^{n}")
     cols = 1 if target.ndim == 1 else target.shape[1]
+    lo, hi = sites[0], sites[-1]
+    if hi - lo + 1 == k:
+        # a contiguous block of sites is the middle factor of the row index
+        # (sites above, block, sites below): no axes need to move
+        blocks = target.reshape(2 ** (n - 1 - hi), 2**k, 2**lo * cols)
+        return np.matmul(op, blocks).reshape(target.shape)
     # axis t of the [2]*n row view holds site n-1-t; op axis j holds sites[k-1-j]
     src_axes = [n - 1 - s for s in reversed(sites)]
     tensor = target.reshape([2] * n + ([cols] if target.ndim == 2 else []))

@@ -149,8 +149,8 @@ def apply_measurement(
     patches = list(state.cover.patches)
     i0 = state.cover.index(ks.patch)
     if state.mode == GENERATOR:
-        new_base = state.frames[ks.patch].conj().T @ collapsed
-        psi = {p_: state.frames[p_] @ new_base for p_ in patches}
+        new_base = state.frame_stack[i0].conj().T @ collapsed
+        psi = dict(zip(patches, state.frame_stack @ new_base))
         psi[ks.patch] = collapsed
         new_state = state._replace(psi=psi, base=new_base)
     else:

@@ -224,6 +224,22 @@ class TestScenarios:
         out = tmp_path / "out.jsonl"
         assert main(["validate", "--config", str(cfg), "--out", str(out)]) == 3
 
+    def test_reunitarization_failure_exit_code(self, tmp_path, monkeypatch):
+        import functools
+
+        import gaugesim.gauge as gauge_module
+        from gaugesim.linalg import polar_unitary
+
+        monkeypatch.setattr(
+            gauge_module, "polar_unitary", functools.partial(polar_unitary, max_iter=1)
+        )
+        cfg = write_config(
+            tmp_path,
+            base_config(integrator={"dt": 0.3, "reunitarize_every": 1}, times=[0.6]),
+        )
+        out = tmp_path / "out.jsonl"
+        assert main(["validate", "--config", str(cfg), "--out", str(out)]) == 3
+
     def test_csv_format(self, tmp_path):
         cfg = write_config(tmp_path, base_config())
         out = tmp_path / "out.csv"

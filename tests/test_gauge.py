@@ -1,6 +1,10 @@
+import functools
+import inspect
+
 import numpy as np
 import pytest
 
+import gaugesim.gauge as gauge_module
 from gaugesim.errors import ContractError, DivergenceError
 from gaugesim.gauge import (
     DIRECT,
@@ -21,11 +25,13 @@ from gaugesim.hamiltonian import (
     LocalTerm,
     PAULI_X,
     PAULI_Z,
+    StepPlan,
+    heisenberg_chain,
     tfim_chain,
     tfim_chain_sitewise,
 )
 from gaugesim.lattice import Patch, PatchCover, embed_operator, nn_pair_cover
-from gaugesim.linalg import frobenius_distance, random_unitary
+from gaugesim.linalg import frobenius_distance, polar_unitary, random_unitary
 from gaugesim.reference import (
     heisenberg_expectation,
     reference_gauge_state,
@@ -519,3 +525,137 @@ class TestDiagnostics:
         d = state.diagnostics()
         assert 0.0 < d.consistency < 1e-6
         assert d.unitarity < 1e-6
+
+
+class TestClock:
+    def test_time_is_exact_after_whole_steps(self):
+        h = tfim_chain(3, 1.0, 1.0)
+        state = evolve(init_gauge_state(plus_state(3), h.cover), h, 1.0, IntegratorConfig(dt=0.1))
+        assert state.time == 1.0
+        assert state.steps == 10
+
+    def test_intermediate_times_are_start_plus_count_times_dt(self):
+        h = tfim_chain(3, 1.0, 1.0)
+        seen = []
+        state = init_gauge_state(plus_state(3), h.cover)
+        evolve(state, h, 0.35, IntegratorConfig(dt=0.1), callback=lambda s: seen.append(s.time))
+        assert seen == [0.1, 0.2, 0.1 * 3, 0.35]
+
+    @pytest.mark.parametrize("t_final", [-0.1, float("nan"), float("inf")])
+    def test_bad_final_time_is_a_contract_error(self, t_final):
+        h = tfim_chain(3, 1.0, 1.0)
+        state = init_gauge_state(plus_state(3), h.cover)
+        with pytest.raises(ContractError):
+            evolve(state, h, t_final, CFG)
+
+
+class TestStepPlan:
+    def test_built_once_and_reused_across_steps(self, monkeypatch):
+        h = tfim_chain(4, 1.0, 1.0)
+        builds = []
+        original = StepPlan.build.__func__
+
+        def counting(cls, hml, cover):
+            builds.append(cover)
+            return original(cls, hml, cover)
+
+        monkeypatch.setattr(StepPlan, "build", classmethod(counting))
+        state = init_gauge_state(plus_state(4), h.cover)
+        state = step(state, h, CFG)
+        plan = h.step_plan()
+        for _ in range(3):
+            state = step(state, h, CFG)
+        effective_hamiltonian(state, h, Patch((1, 2)))
+        assert len(builds) == 1
+        assert h.step_plan(h.cover) is plan
+
+    def test_serves_both_modes_from_one_object(self, monkeypatch):
+        h = tfim_chain_sitewise(4, 1.0, 1.0)
+        plan = h.step_plan()
+        monkeypatch.setattr(StepPlan, "build", None)  # any rebuild would fail
+        for mode in (GENERATOR, DIRECT):
+            state = init_gauge_state(plus_state(4), h.cover, mode=mode, hamiltonian=h)
+            evolve(state, h, 0.003, CFG)
+        assert h.step_plan() is plan
+
+    def test_incidence_of_the_tfim_chain(self):
+        plan = tfim_chain(4, 1.0, 1.0).step_plan()
+        assert plan.carriers == (0, 1, 2)
+        assert plan.local_nbr == ((0, 1), (0, 1, 2), (1, 2))
+        assert plan.connection_keys == ((0, 1), (1, 2))
+        assert all(op is not None for op in plan.static_ops)
+
+    def test_time_dependent_carrier_is_summed_per_call(self):
+        cover = nn_pair_cover(3)
+        zz = np.kron(PAULI_Z, PAULI_Z)
+        h = LocalHamiltonian(
+            cover,
+            [LocalTerm(Patch((0, 1)), zz), LocalTerm(Patch((0, 1)), zz, lambda t: t)],
+        )
+        plan = h.step_plan()
+        assert plan.static_ops == (None,)
+        assert np.array_equal(plan.local_op(0, 2.0), 3.0 * zz)
+
+    def test_reordered_cover_gets_its_own_plan(self):
+        h = tfim_chain(4, 1.0, 1.0)
+        flipped = PatchCover(4, list(reversed(h.cover.patches)))
+        plan = h.step_plan(flipped)
+        assert plan.patches == flipped.patches
+        assert plan is not h.step_plan()
+        psi0 = plus_state(4)
+        a = evolve(init_gauge_state(psi0, h.cover), h, 0.05, CFG)
+        b = evolve(init_gauge_state(psi0, flipped), h, 0.05, CFG)
+        for p in h.cover.patches:
+            assert np.linalg.norm(a.psi[p] - b.psi[p]) < 1e-14
+
+
+class TestFrameStack:
+    def test_frames_are_views_into_one_stack(self, tfim4_evolved):
+        _, _, state, _ = tfim4_evolved
+        assert state.frame_stack.shape == (3, 16, 16)
+        for i, p in enumerate(state.cover.patches):
+            assert np.shares_memory(state.frames[p], state.frame_stack)
+            assert np.array_equal(state.frames[p], state.frame_stack[i])
+
+    def test_layer_and_measurement_keep_one_stack(self, tfim4_evolved):
+        from gaugesim.measure import apply_measurement, site_projectors
+
+        _, _, state, _ = tfim4_evolved
+        gates = {Patch((0, 1)): random_unitary(4, np.random.default_rng(2))}
+        layered = apply_commuting_layer(state, gates)
+        assert layered.frame_stack.shape == state.frame_stack.shape
+        measured, _ = apply_measurement(layered, site_projectors(Patch((1, 2)), 1), outcome=0)
+        assert measured.frame_stack is layered.frame_stack
+
+
+class TestReunitarizationFailure:
+    """A polar step that does not converge mid-run is a divergence, not bad input."""
+
+    @pytest.mark.parametrize("mode", [GENERATOR, DIRECT])
+    def test_non_convergence_raises_divergence(self, monkeypatch, mode):
+        h = heisenberg_chain(4)
+        monkeypatch.setattr(
+            gauge_module, "polar_unitary", functools.partial(polar_unitary, max_iter=1)
+        )
+        state = init_gauge_state(plus_state(4), h.cover, mode=mode, hamiltonian=h)
+        # a coarse step drifts far from unitarity; one Newton iteration cannot repair it
+        with pytest.raises(DivergenceError, match="re-unitarization"):
+            step(state, h, IntegratorConfig(dt=0.3, reunitarize_every=1))
+
+
+class TestTracedNames:
+    """bench/spans.py rebinds these module attributes; they must keep their shape."""
+
+    @pytest.mark.parametrize(
+        "name, params",
+        [
+            ("step", ["state", "hml", "config"]),
+            ("rk4_step", ["y", "t", "dt", "deriv"]),
+            ("polar_unitary", ["m", "tol", "max_iter"]),
+            ("apply_local", ["op", "where", "n", "target", "side"]),
+            ("unitarity_defect", ["m"]),
+        ],
+    )
+    def test_gauge_module_exposes(self, name, params):
+        fn = getattr(gauge_module, name)
+        assert list(inspect.signature(fn).parameters) == params

@@ -89,6 +89,31 @@ class TestPolarUnitary:
         with pytest.raises(ContractError):
             polar_unitary(np.zeros((3, 3)))
 
+    def test_stack_matches_per_matrix_calls(self):
+        rng = np.random.default_rng(5)
+        stack = np.array([random_unitary(8, rng) for _ in range(4)])
+        noise = rng.standard_normal(stack.shape) + 1j * rng.standard_normal(stack.shape)
+        stack = stack + np.array([1e-3, 1e-6, 1e-9, 0.0])[:, None, None] * noise
+        batched = polar_unitary(stack)
+        assert batched.shape == stack.shape
+        for m, u in zip(stack, batched):
+            assert np.max(np.abs(u - polar_unitary(m))) < 1e-12
+            assert unitarity_defect(u) <= 1e-12 * 8
+
+    def test_stack_does_not_touch_its_input(self):
+        stack = np.array([2.0 * np.eye(3), 0.5 * np.eye(3)], dtype=complex)
+        before = stack.copy()
+        polar_unitary(stack)
+        assert np.array_equal(stack, before)
+
+    def test_singular_member_of_stack_raises(self):
+        with pytest.raises(ContractError):
+            polar_unitary(np.array([np.eye(3), np.zeros((3, 3))]))
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ContractError):
+            polar_unitary(np.ones((2, 3)))
+
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 10_000))
     def test_idempotent_on_unitaries(self, seed):
