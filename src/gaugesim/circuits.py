@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .errors import ContractError
-from .gauge import GaugeState, apply_commuting_layer
+from .gauge import GaugeState, apply_commuting_layer, require_commuting
 from .hamiltonian import LocalHamiltonian, LocalTerm
 from .lattice import (
     Patch,
@@ -53,24 +52,7 @@ class Circuit:
             for g in layer:
                 if g.patch.sites[-1] >= self.n_sites:
                     raise ContractError(f"{g.patch} exceeds n_sites={self.n_sites}")
-            self._check_layer_commutes(layer, li)
-
-    def _check_layer_commutes(self, layer: Sequence[Gate], li: int, tol: float = 1e-12) -> None:
-        for a, b in itertools.combinations(layer, 2):
-            shared = set(a.patch.sites) & set(b.patch.sites)
-            if not shared:
-                continue
-            union = sorted(set(a.patch.sites) | set(b.patch.sites))
-            k = len(union)
-            eye = np.eye(2**k, dtype=np.complex128)
-            ma = apply_local(a.op, [union.index(s) for s in a.patch.sites], k, eye)
-            mb = apply_local(b.op, [union.index(s) for s in b.patch.sites], k, eye)
-            defect = float(np.linalg.norm(ma @ mb - mb @ ma))
-            if defect > tol:
-                raise ContractError(
-                    f"layer {li}: gates on {a.patch} and {b.patch} do not commute "
-                    f"(defect {defect:.3e})"
-                )
+            require_commuting([(g.patch, g.op) for g in layer], 1e-12, f"layer {li}: ")
 
     @property
     def depth(self) -> int:
@@ -157,17 +139,12 @@ def circuit_reference(circuit: Circuit, cover: PatchCover, psi0) -> ReferenceBun
                 if not g.patch.overlaps(p):
                     u = apply_local(g.op, g.patch, circuit.n_sites, u)
         complements[p] = u
-    psi_s = propagator @ psi0
-    frames = {p: complements[p].conj().T @ propagator for p in cover.patches}
-    psi = {p: complements[p].conj().T @ psi_s for p in cover.patches}
     return ReferenceBundle(
         cover=cover,
         time=float(circuit.depth),
         propagator=propagator,
         complements=complements,
-        psi_schrodinger=psi_s,
-        frames=frames,
-        psi=psi,
+        psi_schrodinger=propagator @ psi0,
     )
 
 

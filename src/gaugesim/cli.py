@@ -34,7 +34,7 @@ from .gauge import (
     init_gauge_state,
 )
 from .hamiltonian import LocalHamiltonian, build_model, pauli_on
-from .lattice import Patch, PatchCover, cover_from_config, embed_operator
+from .lattice import Patch, PatchCover, apply_local, cover_from_config, embed_operator
 from .measure import apply_measurement, measurement_probabilities, site_projectors
 from .circuits import audit_lightcone, brickwork, circuit_reference, run_circuit
 from .reference import reference_gauge_state, schrodinger_evolve
@@ -448,8 +448,7 @@ def _run_measure(exp: Experiment, writer: RecordWriter) -> int:
     psi_s = schrodinger_evolve(exp.hml, exp.psi0, t)
     gaps = []
     for k, e in enumerate(ks.operators):
-        e_glob = embed_operator(e, ks.patch, exp.n_sites)
-        p_ref = float(np.vdot(psi_s, e_glob.conj().T @ e_glob @ psi_s).real)
+        p_ref = float(np.linalg.norm(apply_local(e, ks.patch, exp.n_sites, psi_s))) ** 2
         gaps.append(abs(probs[k] - p_ref))
     state, record = apply_measurement(state, ks, rng=exp.seed)
     writer.emit(

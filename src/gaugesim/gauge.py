@@ -277,24 +277,28 @@ class GaugeState:
 
     # -- diagnostics -------------------------------------------------------
 
-    def _consistency_pairs(self) -> Iterable[tuple[int, int]]:
-        if self.mode == GENERATOR:
-            count = len(self.cover)
-            return ((i, j) for i in range(count) for j in range(i + 1, count))
-        return iter(self.connections.keys())
-
-    def diagnostics(self, include_cocycle: bool = True, max_triples: int = 40) -> DefectReport:
+    def consistency(self) -> float:
+        """max over pairs ||U_IJ psi_J - psi_I||; no unitarity, norm or cocycle sweep."""
         patches = self.cover.patches
+        frames = self.frame_stack
+        if self.mode == GENERATOR:
+            pairs = itertools.combinations(range(len(patches)), 2)
+        else:
+            pairs = self.connections.keys()
         consistency = 0.0
-        for i, j in self._consistency_pairs():
+        for i, j in pairs:
             if self.mode == GENERATOR:
-                frames = self.frame_stack
                 w = frames[i] @ (frames[j].conj().T @ self.psi[patches[j]])
             else:
                 w = self._stored_connection(i, j) @ self.psi[patches[j]]
             consistency = max(
                 consistency, float(np.linalg.norm(w - self.psi[patches[i]]))
             )
+        return consistency
+
+    def diagnostics(self, include_cocycle: bool = True, max_triples: int = 40) -> DefectReport:
+        patches = self.cover.patches
+        consistency = self.consistency()
         unitarity = 0.0
         mats = self.frame_stack if self.mode == GENERATOR else self.connections.values()
         for m in mats:
@@ -625,26 +629,23 @@ def gauge_transform(state: GaugeState, transform: GaugeTransform) -> GaugeState:
     return state._replace(psi=psi, connections=conns, dressing=new_dressing)
 
 
-def _commutation_check(
-    cover: PatchCover, gates: Mapping[Patch, np.ndarray], tol: float
+def require_commuting(
+    gates: Sequence[tuple[Patch, np.ndarray]], tol: float, context: str = ""
 ) -> None:
-    items = sorted(gates.items(), key=lambda kv: kv[0])
-    for (pa, ua), (pb, ub) in itertools.combinations(items, 2):
-        shared = set(pa.sites) & set(pb.sites)
-        if not shared:
+    """Raise ContractError if two overlapping gates' commutator exceeds tol (Frobenius)."""
+    for (pa, ua), (pb, ub) in itertools.combinations(gates, 2):
+        if not pa.overlaps(pb):
             continue  # disjoint supports commute exactly
-        union = Patch(sorted(set(pa.sites) | set(pb.sites)))
+        union = sorted(set(pa.sites) | set(pb.sites))
         k = len(union)
         eye = np.eye(2**k, dtype=np.complex128)
         # embed both gates into the union subspace to bound the commutator
-        local_sites_a = [union.sites.index(s) for s in pa.sites]
-        local_sites_b = [union.sites.index(s) for s in pb.sites]
-        a = apply_local(ua, local_sites_a, k, eye)
-        b = apply_local(ub, local_sites_b, k, eye)
+        a = apply_local(ua, [union.index(s) for s in pa.sites], k, eye)
+        b = apply_local(ub, [union.index(s) for s in pb.sites], k, eye)
         defect = float(np.linalg.norm(a @ b - b @ a))
         if defect > tol:
             raise ContractError(
-                f"gates on {pa} and {pb} do not commute (defect {defect:.3e})"
+                f"{context}gates on {pa} and {pb} do not commute (defect {defect:.3e})"
             )
 
 
@@ -670,24 +671,31 @@ def apply_commuting_layer(
                 f"gate on {patch} has dim {op.shape[0]}, expected {patch.dim}"
             )
         checked[patch] = op
-    _commutation_check(cover, checked, commutation_tol)
+    gate_patches = sorted(checked.keys())
+    require_commuting([(gp, checked[gp]) for gp in gate_patches], commutation_tol)
     patches = list(cover.patches)
     n = state.n_sites
-    gate_patches = sorted(checked.keys())
     if state.mode == GENERATOR:
-        sandwiches = {}
-        for gp in gate_patches:
-            u = state.frame_stack[cover.index(gp)]
-            d = state.dressing_of(gp)
-            v = u if d is None else d.conj().T @ u
-            sandwiches[gp] = v.conj().T @ apply_local(checked[gp], gp, n, v)
         frames = np.empty_like(state.frame_stack)
+        sandwiches = {}  # V^dag G V with V = D^dag U, for gates reaching other patches
+        for gp in gate_patches:
+            i = cover.index(gp)
+            d = state.dressing_of(gp)
+            v = state.frame_stack[i] if d is None else d.conj().T @ state.frame_stack[i]
+            gv = apply_local(checked[gp], gp, n, v)
+            if any(p != gp and p.overlaps(gp) for p in patches):
+                sandwiches[gp] = v.conj().T @ gv
+            # U (V^dag G V) = D G V: a patch's own gate acts locally
+            frames[i] = gv if d is None else d @ gv
         for i, p in enumerate(patches):
             w = None
             for gp in gate_patches:
-                if gp.overlaps(p):
+                if gp != p and gp.overlaps(p):
                     w = sandwiches[gp] if w is None else w @ sandwiches[gp]
-            if w is None:
+            if p in checked:
+                if w is not None:
+                    frames[i] = frames[i] @ w
+            elif w is None:
                 frames[i] = state.frame_stack[i]
             else:
                 np.matmul(state.frame_stack[i], w, out=frames[i])

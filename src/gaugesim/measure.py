@@ -94,7 +94,7 @@ def measurement_probabilities(
     if ks.patch not in state.cover:
         raise ContractError(f"{ks.patch} is not a patch of the cover")
     _require_complete(ks)
-    defect = state.diagnostics(include_cocycle=False).consistency
+    defect = state.consistency()
     if defect > consistency_tol:
         raise ContractError(
             f"state is inconsistent (defect {defect:.3e} > {consistency_tol:.1e}); "

@@ -10,6 +10,7 @@ over speed throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -17,7 +18,7 @@ from .errors import ContractError
 from .hamiltonian import LocalHamiltonian
 from .integrate import rk4_step, time_grid
 from .lattice import Patch, PatchCover, embed_operator
-from .linalg import as_state, expm_hermitian, frobenius_distance
+from .linalg import as_state, expm_hermitian
 
 DEFAULT_REFERENCE_DT = 1e-4
 
@@ -29,7 +30,8 @@ class ReferenceBundle:
     `complements` holds, for each patch, the propagator generated by the
     Hamiltonian terms that do not touch the patch; it relates the per-patch
     wavefunctions to the global one: psi_patch = complement^dag psi_global,
-    frame = complement^dag propagator.
+    frame = complement^dag propagator. `frames` and `psi` are built from
+    these on first access and cached.
     """
 
     cover: PatchCover
@@ -37,8 +39,16 @@ class ReferenceBundle:
     propagator: np.ndarray
     complements: dict[Patch, np.ndarray]
     psi_schrodinger: np.ndarray
-    frames: dict[Patch, np.ndarray]
-    psi: dict[Patch, np.ndarray]
+
+    @cached_property
+    def frames(self) -> dict[Patch, np.ndarray]:
+        return {p: self.complements[p].conj().T @ self.propagator for p in self.cover.patches}
+
+    @cached_property
+    def psi(self) -> dict[Patch, np.ndarray]:
+        return {
+            p: self.complements[p].conj().T @ self.psi_schrodinger for p in self.cover.patches
+        }
 
     def connection(self, a: Patch, b: Patch) -> np.ndarray:
         """complement_a^dag complement_b, the exact frame connection."""
@@ -139,17 +149,12 @@ def reference_gauge_state(
         mats = _integrate_generated(mats, gens, t, dt)
         propagator = mats[0]
         complements = dict(zip(patches, mats[1:]))
-    psi_s = propagator @ psi0
-    frames = {p: complements[p].conj().T @ propagator for p in patches}
-    psi = {p: complements[p].conj().T @ psi_s for p in patches}
     return ReferenceBundle(
         cover=cover,
         time=float(t),
         propagator=propagator,
         complements=complements,
-        psi_schrodinger=psi_s,
-        frames=frames,
-        psi=psi,
+        psi_schrodinger=propagator @ psi0,
     )
 
 
@@ -203,16 +208,4 @@ def interaction_reference(
         )
     psi_t = schrodinger_evolve(hml, psi0, t, dt)
     psi_i = u0.conj().T @ psi_t
-    # wiring check: the complement propagator obeys the same equation as u0
-    bundle_complement = (
-        expm_hermitian(hml.total(0.0) - hml.neighborhood(patch, 0.0), t)
-        if not hml.is_time_dependent
-        else None
-    )
-    if bundle_complement is not None:
-        gap = frobenius_distance(bundle_complement, u0)
-        if gap > 1e-9:
-            raise ContractError(
-                f"complement propagator and free propagator disagree ({gap:.3e})"
-            )
     return InteractionReference(h0=h0, h1=h1, u0=u0, psi_interaction=psi_i)

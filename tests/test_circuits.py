@@ -13,10 +13,16 @@ from gaugesim.circuits import (
     run_circuit,
 )
 from gaugesim.errors import ContractError
-from gaugesim.gauge import DIRECT, IntegratorConfig, evolve, init_gauge_state
+from gaugesim.gauge import (
+    DIRECT,
+    IntegratorConfig,
+    apply_commuting_layer,
+    evolve,
+    init_gauge_state,
+)
 from gaugesim.hamiltonian import PAULI_X, PAULI_Z
 from gaugesim.lattice import Patch, embed_operator, nn_pair_cover
-from gaugesim.linalg import frobenius_distance, random_unitary
+from gaugesim.linalg import expm_hermitian, frobenius_distance, random_unitary
 
 from _oracles import plus_state
 
@@ -81,6 +87,19 @@ class TestCircuitValidation:
         with pytest.raises(ContractError):
             Gate(Patch((0, 1)), np.ones((4, 4)))
 
+    def test_circuit_and_layer_keep_their_own_tolerances(self):
+        # commutator ~5.7e-12: above the circuit's 1e-12, below the layer's 1e-10
+        gz = Gate(Patch((0, 1)), np.kron(PAULI_Z, np.eye(2)))  # Z on site 1
+        gx = Gate(Patch((1, 2)), expm_hermitian(np.kron(np.eye(2), PAULI_X), 1e-12))
+        with pytest.raises(ContractError, match=r"^layer 0: gates on .* do not commute"):
+            Circuit(3, [[gz, gx]])
+        state = init_gauge_state(plus_state(3), nn_pair_cover(3))
+        apply_commuting_layer(state, {gz.patch: gz.op, gx.patch: gx.op})
+        with pytest.raises(ContractError, match=r"^gates on .* do not commute"):
+            apply_commuting_layer(
+                state, {gz.patch: gz.op, gx.patch: gx.op}, commutation_tol=1e-12
+            )
+
 
 class TestRunCircuit:
     def test_empty_circuit_is_noop(self):
@@ -113,6 +132,16 @@ class TestRunCircuit:
         for p in cover.patches:
             assert np.linalg.norm(state.psi[p] - ref.psi[p]) < 1e-11
             assert frobenius_distance(state.frames[p], ref.frames[p]) < 1e-10
+
+    def test_seeded_brickwork_frames_match_reference_to_roundoff(self):
+        n = 6
+        cover = nn_pair_cover(n)
+        psi0 = plus_state(n)
+        circ = brickwork(n, 3, gate_source=31)
+        state = run_circuit(init_gauge_state(psi0, cover), circ)
+        ref = circuit_reference(circ, cover, psi0)
+        for p in cover.patches:
+            assert frobenius_distance(state.frames[p], ref.frames[p]) < 1e-12
 
     def test_direct_mode_matches_reference(self):
         n = 5

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import gaugesim.gauge as gauge_module
+from gaugesim.circuits import brickwork, run_circuit
 from gaugesim.errors import ContractError, DivergenceError
 from gaugesim.gauge import (
     DIRECT,
@@ -512,8 +513,54 @@ class TestCommutingLayers:
         for p in cover.patches:
             assert np.linalg.norm(sg.psi[p] - sd.psi[p]) < 1e-12
 
+    def test_dressed_gate_patches_match_undressed(self, tfim4_evolved):
+        # a gate patch of a dressed state updates as D G D^dag U
+        h, _, state, _ = tfim4_evolved
+        rng = np.random.default_rng(17)
+        g = GaugeTransform({p: random_unitary(16, rng) for p in h.cover.patches})
+        gates = {Patch((0, 1)): random_unitary(4, rng), Patch((2, 3)): random_unitary(4, rng)}
+        plain = apply_commuting_layer(state, gates)
+        dressed = apply_commuting_layer(gauge_transform(state, g), gates)
+        ops = [np.kron(PAULI_Z, PAULI_Z), np.kron(PAULI_X, np.eye(2)), np.kron(np.eye(2), PAULI_X)]
+        for p in h.cover.patches:
+            for op in ops:
+                assert abs(dressed.local_expectation(p, op) - plain.local_expectation(p, op)) < 1e-12
+
+    def test_overlapping_commuting_gates_match_global_product(self):
+        # diagonal gates on every bond overlap and commute; a gate patch then
+        # takes its own gate locally and its neighbours' gates as sandwiches
+        n = 5
+        cover = nn_pair_cover(n)
+        psi0 = plus_state(n)
+        circ = brickwork(n, 2, gate_source=23)
+        state = run_circuit(init_gauge_state(psi0, cover), circ)
+        rng = np.random.default_rng(29)
+        gates = {p: np.diag(np.exp(1j * rng.uniform(-np.pi, np.pi, 4))) for p in cover.patches}
+        new = apply_commuting_layer(state, gates)
+        layer = np.eye(2**n, dtype=complex)
+        for p, u in gates.items():
+            layer = embed_operator(u, p, n) @ layer
+        psi_after = layer @ circ.unitary() @ psi0
+        ops = [np.kron(PAULI_Z, PAULI_Z), np.kron(PAULI_X, PAULI_X), np.kron(PAULI_X, np.eye(2))]
+        for p in cover.patches:
+            for op in ops:
+                want = np.vdot(psi_after, embed_operator(op, p, n) @ psi_after)
+                assert abs(new.local_expectation(p, op) - want) < 1e-12
+        assert new.diagnostics().consistency < 1e-12
+
 
 class TestDiagnostics:
+    def test_consistency_is_the_diagnostics_value(self, tfim4_evolved):
+        h, _, state, _ = tfim4_evolved
+        direct = evolve(
+            init_gauge_state(plus_state(4), h.cover, mode=DIRECT, hamiltonian=h),
+            h,
+            0.2,
+            IntegratorConfig(dt=4e-3, reunitarize_every=0),
+        )
+        for st in (state, direct):
+            assert st.consistency() == st.diagnostics().consistency
+
     def test_generator_mode_cocycle_by_construction(self, tfim4_evolved):
         _, _, state, _ = tfim4_evolved
         assert state.diagnostics().cocycle < 1e-12

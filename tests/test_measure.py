@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import gaugesim.gauge as gauge_module
 from gaugesim.errors import ContractError
 from gaugesim.gauge import DIRECT, IntegratorConfig, evolve, init_gauge_state
 from gaugesim.hamiltonian import PAULI_X, PAULI_Z, tfim_chain
@@ -105,6 +106,25 @@ class TestProbabilities:
         broken = state._replace(psi=bad_psi)
         with pytest.raises(ContractError):
             measurement_probabilities(broken, site_projectors(Patch((0, 1)), 0))
+
+    @pytest.mark.parametrize("mode", ["generator", DIRECT])
+    def test_no_unitarity_sweep_over_frames_or_connections(self, evolved, mode, monkeypatch):
+        h, psi0, state, _ = evolved
+        if mode == DIRECT:
+            state = init_gauge_state(psi0, h.cover, mode=DIRECT, hamiltonian=h)
+            state = evolve(state, h, 0.1, IntegratorConfig(dt=1e-3))
+        shapes = []
+        original = gauge_module.unitarity_defect
+
+        def counting(m):
+            shapes.append(np.shape(m))
+            return original(m)
+
+        monkeypatch.setattr(gauge_module, "unitarity_defect", counting)
+        ks = site_projectors(Patch((1, 2)), 1)
+        measurement_probabilities(state, ks)
+        apply_measurement(state, ks, rng=5)
+        assert (state.dim, state.dim) not in shapes
 
 
 class TestApplyMeasurement:

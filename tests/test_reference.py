@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gaugesim.circuits import brickwork, circuit_reference
 from gaugesim.errors import ContractError
 from gaugesim.hamiltonian import (
     LocalHamiltonian,
@@ -101,6 +102,21 @@ class TestReferenceGaugeState:
             assert unitarity_defect(bundle.frames[p]) < 1e-12
             want = bundle.complements[p].conj().T @ bundle.psi_schrodinger
             assert np.linalg.norm(bundle.psi[p] - want) < 1e-13
+
+    def test_frames_and_psi_are_cached_on_first_access(self):
+        h = tfim_chain(4, 1.0, 0.7)
+        psi0 = plus_state(4)
+        circ = brickwork(4, 2, gate_source=3)
+        for bundle in (
+            reference_gauge_state(h, h.cover, psi0, 0.6),
+            circuit_reference(circ, h.cover, psi0),
+        ):
+            assert bundle.frames is bundle.frames
+            assert bundle.psi is bundle.psi
+            for p in h.cover.patches:
+                c_dag = bundle.complements[p].conj().T
+                assert np.array_equal(bundle.frames[p], c_dag @ bundle.propagator)
+                assert np.array_equal(bundle.psi[p], c_dag @ bundle.psi_schrodinger)
 
     def test_propagator_matches_taylor_oracle(self):
         h = tfim_chain(3, 1.0, 1.0)
