@@ -8,7 +8,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ContractError
-from .gauge import GaugeState, apply_commuting_layer, require_commuting
+from .gauge import GaugeState, GeneratorState, apply_commuting_layer, require_commuting
 from .hamiltonian import LocalHamiltonian, LocalTerm
 from .lattice import (
     Patch,
@@ -228,7 +228,7 @@ def audit_lightcone(
     include_connections: bool = True,
 ) -> LightConeAudit:
     """Check that the patch's frame and connections stay inside the light cone."""
-    if state.mode != "generator":
+    if not isinstance(state, GeneratorState):
         raise ContractError("light-cone audits need generator mode (frames required)")
     if patch not in state.cover:
         raise ContractError(f"{patch} is not a patch of the cover")

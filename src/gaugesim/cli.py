@@ -28,6 +28,8 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, DivergenceError, GaugeSimError
 from .gauge import (
+    GENERATOR,
+    MODES,
     GaugeState,
     IntegratorConfig,
     evolve,
@@ -155,7 +157,6 @@ def parse_config(raw: dict, overrides: dict | None = None) -> Experiment:
     for key, value in (overrides or {}).items():
         if value is not None:
             if key in ("dt", "mode"):
-                cfg.setdefault("integrator", {})
                 cfg["integrator"] = dict(cfg.get("integrator") or {})
                 cfg["integrator"][key] = value
             else:
@@ -187,9 +188,9 @@ def parse_config(raw: dict, overrides: dict | None = None) -> Experiment:
         raise _fail("cover", "does not match the cover implied by the model")
 
     integ = dict(cfg.get("integrator") or {})
-    mode = integ.pop("mode", "generator")
-    if mode not in ("generator", "direct"):
-        raise _fail("integrator.mode", f"must be generator|direct, got {mode!r}")
+    mode = integ.pop("mode", GENERATOR)
+    if mode not in MODES:
+        raise _fail("integrator.mode", f"must be {'|'.join(MODES)}, got {mode!r}")
     try:
         integrator = IntegratorConfig(
             dt=float(integ.pop("dt", 1e-3)),
@@ -501,7 +502,7 @@ def _run_bench(exp: Experiment) -> int:
         t0 = time.perf_counter()
         reference_gauge_state(hml, hml.cover, psi0, t_end)
         oracle_seconds = time.perf_counter() - t0
-        for mode in ("generator", "direct"):
+        for mode in MODES:
             state = init_gauge_state(psi0, hml.cover, mode=mode, hamiltonian=hml)
             t0 = time.perf_counter()
             state = evolve(state, hml, t_end, exp.integrator)
@@ -536,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "jsonl", "csv"), default=None)
         p.add_argument("--dt", type=float, default=None, help="override integrator dt")
         p.add_argument(
-            "--mode", choices=("generator", "direct"), default=None,
+            "--mode", choices=MODES, default=None,
             help="override integration mode",
         )
     return parser
@@ -574,11 +575,9 @@ def main(argv: list[str] | None = None) -> int:
             "mode": args.mode,
         }
         if args.out is not None:
-            raw.setdefault("output", {})
             raw["output"] = dict(raw.get("output") or {})
             raw["output"]["path"] = args.out
         if args.format is not None:
-            raw.setdefault("output", {})
             raw["output"] = dict(raw.get("output") or {})
             raw["output"]["format"] = args.format
         exp = parse_config(raw, overrides)

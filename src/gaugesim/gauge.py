@@ -8,15 +8,16 @@ insert connections between them. Time evolution couples a patch only to the
 Hamiltonian terms that touch it, with those terms conjugated by connections
 ("dressed"), which makes the equations of motion local but nonlinear.
 
-Two integration modes are provided:
+Two integration modes are provided, one state class each:
 
-* ``generator`` (default): the state variable is one frame unitary per patch,
-  advanced by dU_I/dt = -i H_eff(I) U_I. Connections are formed as
-  U_I U_J^dag, so the transitivity identity U_IJ U_JK = U_IK holds to
-  roundoff by construction, and psi_I = U_I base is a cached product.
-* ``direct``: integrates the coupled equations for psi_I and the connections
-  of overlapping pairs verbatim. Redundancy among the variables then drifts
-  at the integrator's order, which `diagnostics` measures.
+* ``generator`` (default, `GeneratorState`): the state variable is one frame
+  unitary per patch, advanced by dU_I/dt = -i H_eff(I) U_I. Connections are
+  formed as U_I U_J^dag, so the transitivity identity U_IJ U_JK = U_IK holds
+  to roundoff by construction, and psi_I = U_I base is a cached product.
+* ``direct`` (`DirectState`): integrates the coupled equations for psi_I and
+  the connections of overlapping pairs verbatim. Redundancy among the
+  variables then drifts at the integrator's order, which `diagnostics`
+  measures.
 
 Within a step, every per-patch derivative reads the same frozen stage
 snapshot, so evaluation order is immaterial; states are never mutated in
@@ -26,7 +27,7 @@ place and observable queries are read-only.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import asdict, dataclass, replace as dc_replace
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -39,6 +40,8 @@ from .linalg import as_state, polar_unitary, require_unitary, unitarity_defect
 
 GENERATOR = "generator"
 DIRECT = "direct"
+MODES = (GENERATOR, DIRECT)
+COCYCLE_TRIPLES = 40  # patch triples composed by the diagnostics cocycle sweep
 
 
 @dataclass(frozen=True)
@@ -46,15 +49,12 @@ class IntegratorConfig:
     """Fixed-step RK4 settings."""
 
     dt: float = 1e-3
-    scheme: str = "rk4"
     reunitarize_every: int = 100  # 0 disables drift correction
     renormalize: bool = False
 
     def __post_init__(self):
         if not (np.isfinite(self.dt) and self.dt > 0):
             raise ContractError(f"dt must be positive and finite, got {self.dt}")
-        if self.scheme != "rk4":
-            raise ContractError(f"unsupported scheme {self.scheme!r}")
         if self.reunitarize_every < 0:
             raise ContractError("reunitarize_every must be >= 0")
 
@@ -92,63 +92,41 @@ class DefectReport:
     norm: float  # max | ||psi_I|| - 1 |
 
     def as_dict(self) -> dict:
-        return {
-            "consistency": self.consistency,
-            "cocycle": self.cocycle,
-            "unitarity": self.unitarity,
-            "norm": self.norm,
-        }
+        return asdict(self)
 
 
 class GaugeState:
     """Local wavefunctions plus frame/connection unitaries on a patch cover.
 
-    In generator mode the frames are one (P, D, D) array, `frame_stack`, in
-    cover order; `frames` maps each patch to its view. Treat instances as
-    immutable: evolution and transformation functions return new states.
-    Observable queries are read-only.
+    The base of `GeneratorState` and `DirectState`, which own all arithmetic
+    on their variables (the ones a mode does not store read None). Treat
+    instances as immutable: evolution and transformation functions return new
+    states. Observable queries are read-only.
     """
+
+    mode: str  # class constant of each mode
+    frame_stack: np.ndarray | None = None
+    base: np.ndarray | None = None
+    connections: dict[tuple[int, int], np.ndarray] | None = None
 
     def __init__(
         self,
         cover: PatchCover,
-        mode: str,
         time: float,
         steps: int,
         psi: dict[Patch, np.ndarray],
-        frame_stack: np.ndarray | None = None,
-        base: np.ndarray | None = None,
-        connections: dict[tuple[int, int], np.ndarray] | None = None,
         dressing: dict[Patch, np.ndarray] | None = None,
     ):
-        if mode not in (GENERATOR, DIRECT):
-            raise ContractError(f"unknown mode {mode!r}")
         self.cover = cover
-        self.mode = mode
         self.time = float(time)
         self.steps = int(steps)
         self.psi = psi
-        self.frame_stack = frame_stack
-        self.base = base
-        self.connections = connections
         self.dressing = dressing or {}
 
     # -- construction helpers -------------------------------------------
 
     def _replace(self, **kw) -> "GaugeState":
-        fields = dict(
-            cover=self.cover,
-            mode=self.mode,
-            time=self.time,
-            steps=self.steps,
-            psi=self.psi,
-            frame_stack=self.frame_stack,
-            base=self.base,
-            connections=self.connections,
-            dressing=self.dressing,
-        )
-        fields.update(kw)
-        return GaugeState(**fields)
+        return type(self)(**{**vars(self), **kw})
 
     # -- basic queries -----------------------------------------------------
 
@@ -177,60 +155,7 @@ class GaugeState:
         ib = self.cover.index(b)
         if ia == ib:
             return np.eye(self.dim, dtype=np.complex128)
-        if self.mode == GENERATOR:
-            return self.frame_stack[ia] @ self.frame_stack[ib].conj().T
-        return self._direct_connection(ia, ib)
-
-    def _stored_connection(self, i: int, j: int) -> np.ndarray | None:
-        if i == j:
-            return np.eye(self.dim, dtype=np.complex128)
-        key = (min(i, j), max(i, j))
-        c = self.connections.get(key)
-        if c is None:
-            return None
-        return c if i < j else c.conj().T
-
-    def _pair_graph(self) -> dict[int, list[int]]:
-        graph: dict[int, list[int]] = {i: [] for i in range(len(self.cover))}
-        for i, j in self.connections:
-            graph[i].append(j)
-            graph[j].append(i)
-        return graph
-
-    def _direct_connection(self, ia: int, ib: int) -> np.ndarray:
-        c = self._stored_connection(ia, ib)
-        if c is not None:
-            return c
-        path = self._shortest_path(ia, ib)
-        out = self._stored_connection(path[0], path[1])
-        for u, v in zip(path[1:], path[2:]):
-            out = out @ self._stored_connection(u, v)
-        return out
-
-    def _shortest_path(self, start: int, goal: int) -> list[int]:
-        graph = self._pair_graph()
-        prev = {start: start}
-        queue = [start]
-        while queue:
-            nxt: list[int] = []
-            for u in queue:
-                for v in graph[u]:
-                    if v not in prev:
-                        prev[v] = u
-                        nxt.append(v)
-            queue = nxt
-            if goal in prev:
-                break
-        if goal not in prev:
-            raise ContractError(
-                f"patches {self.cover.patches[start]} and {self.cover.patches[goal]} "
-                "are not linked by any chain of stored connections"
-            )
-        path = [goal]
-        while path[-1] != start:
-            path.append(prev[path[-1]])
-        path.reverse()
-        return path
+        return self._connection(ia, ib)
 
     # -- observables -----------------------------------------------------
 
@@ -280,28 +205,20 @@ class GaugeState:
     def consistency(self) -> float:
         """max over pairs ||U_IJ psi_J - psi_I||; no unitarity, norm or cocycle sweep."""
         patches = self.cover.patches
-        frames = self.frame_stack
-        if self.mode == GENERATOR:
-            pairs = itertools.combinations(range(len(patches)), 2)
-        else:
-            pairs = self.connections.keys()
         consistency = 0.0
-        for i, j in pairs:
-            if self.mode == GENERATOR:
-                w = frames[i] @ (frames[j].conj().T @ self.psi[patches[j]])
-            else:
-                w = self._stored_connection(i, j) @ self.psi[patches[j]]
+        for i, j in self._consistency_pairs():
+            w = self._transport(i, j, self.psi[patches[j]])
             consistency = max(
                 consistency, float(np.linalg.norm(w - self.psi[patches[i]]))
             )
         return consistency
 
-    def diagnostics(self, include_cocycle: bool = True, max_triples: int = 40) -> DefectReport:
+    def diagnostics(self, include_cocycle: bool = True) -> DefectReport:
+        """Identity defects; the cocycle sweep covers the first COCYCLE_TRIPLES triples."""
         patches = self.cover.patches
         consistency = self.consistency()
         unitarity = 0.0
-        mats = self.frame_stack if self.mode == GENERATOR else self.connections.values()
-        for m in mats:
+        for m in self._unitarity_matrices():
             unitarity = max(unitarity, unitarity_defect(m))
         norm = max(
             abs(float(np.linalg.norm(v)) - 1.0) for v in self.psi.values()
@@ -309,7 +226,7 @@ class GaugeState:
         cocycle = 0.0
         if include_cocycle and len(patches) >= 3:
             triples = itertools.islice(
-                itertools.combinations(range(len(patches)), 3), max_triples
+                itertools.combinations(range(len(patches)), 3), COCYCLE_TRIPLES
             )
             for i, j, k in triples:
                 try:
@@ -327,6 +244,253 @@ class GaugeState:
             unitarity=unitarity,
             norm=norm,
         )
+
+
+class GeneratorState(GaugeState):
+    """Generator mode: one frame unitary U_I per patch and psi_I = U_I base.
+
+    The frames are one (P, D, D) array, `frame_stack`, in cover order;
+    `frames` maps each patch to its view. Connections are U_I U_J^dag.
+    """
+
+    mode = GENERATOR
+
+    def __init__(self, cover, time, steps, psi, frame_stack, base, dressing=None):
+        super().__init__(cover, time, steps, psi, dressing)
+        self.frame_stack = frame_stack
+        self.base = base
+
+    def _with_frames(self, frames: np.ndarray, **kw) -> "GeneratorState":
+        psi = dict(zip(self.cover.patches, frames @ self.base))
+        return self._replace(frame_stack=frames, psi=psi, **kw)
+
+    def _connection(self, i: int, j: int) -> np.ndarray:
+        return self.frame_stack[i] @ self.frame_stack[j].conj().T
+
+    def _consistency_pairs(self) -> Iterable[tuple[int, int]]:
+        return itertools.combinations(range(len(self.cover)), 2)
+
+    def _transport(self, i: int, j: int, vec: np.ndarray) -> np.ndarray:
+        return self.frame_stack[i] @ (self.frame_stack[j].conj().T @ vec)
+
+    def _unitarity_matrices(self) -> Iterable[np.ndarray]:
+        return self.frame_stack
+
+    def _step(self, plan: StepPlan, config: IntegratorConfig, reunitarize: bool) -> "GeneratorState":
+        t_next = self.time + config.dt
+        new_steps = self.steps + 1
+        dress = [self.dressing_of(p) for p in plan.patches]
+        with np.errstate(invalid="ignore", over="ignore"):
+            (frames,) = rk4_step(
+                [self.frame_stack],
+                self.time,
+                config.dt,
+                lambda t, y: [_frame_rhs(plan, self.n_sites, dress, t, y[0])],
+            )
+        _require_finite([frames], t_next, new_steps)
+        if reunitarize:
+            frames = _reunitarized(frames, t_next, new_steps)
+        psi = frames @ self.base
+        if config.renormalize:
+            psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+        return self._replace(
+            time=t_next, steps=new_steps, psi=dict(zip(plan.patches, psi)), frame_stack=frames
+        )
+
+    def _transformed(self, factors: list[np.ndarray], dressing: dict) -> "GeneratorState":
+        frames = np.empty_like(self.frame_stack)
+        for i, f in enumerate(factors):
+            np.matmul(f, self.frame_stack[i], out=frames[i])
+        return self._with_frames(frames, dressing=dressing)
+
+    def _layered(self, gates: dict[Patch, np.ndarray]) -> "GeneratorState":
+        patches = self.cover.patches
+        frames = np.empty_like(self.frame_stack)
+        sandwiches = {}  # V^dag G V with V = D^dag U, for gates reaching other patches
+        for gp, g in gates.items():
+            i = self.cover.index(gp)
+            d = self.dressing_of(gp)
+            v = self.frame_stack[i] if d is None else d.conj().T @ self.frame_stack[i]
+            gv = apply_local(g, gp, self.n_sites, v)
+            if any(p != gp and p.overlaps(gp) for p in patches):
+                sandwiches[gp] = v.conj().T @ gv
+            # U (V^dag G V) = D G V: a patch's own gate acts locally
+            frames[i] = gv if d is None else d @ gv
+        for i, p in enumerate(patches):
+            w = None
+            for gp in gates:
+                if gp != p and gp.overlaps(p):
+                    w = sandwiches[gp] if w is None else w @ sandwiches[gp]
+            if p in gates:
+                if w is not None:
+                    frames[i] = frames[i] @ w
+            elif w is None:
+                frames[i] = self.frame_stack[i]
+            else:
+                np.matmul(self.frame_stack[i], w, out=frames[i])
+        return self._with_frames(frames)
+
+    def _collapsed(self, patch: Patch, collapsed: np.ndarray) -> "GeneratorState":
+        new_base = self.frame_stack[self.cover.index(patch)].conj().T @ collapsed
+        psi = dict(zip(self.cover.patches, self.frame_stack @ new_base))
+        psi[patch] = collapsed
+        return self._replace(psi=psi, base=new_base)
+
+
+class DirectState(GaugeState):
+    """Direct mode: psi_I and the connections of linked pairs, integrated verbatim.
+
+    `connections` maps (i, j), i < j, to the unitary taking patch j's
+    wavefunction to patch i's frame; other pairs chain stored connections
+    along one breadth-first walk.
+    """
+
+    mode = DIRECT
+
+    def __init__(self, cover, time, steps, psi, connections, dressing=None):
+        super().__init__(cover, time, steps, psi, dressing)
+        self.connections = connections
+
+    def _stored_connection(self, i: int, j: int) -> np.ndarray:
+        c = self.connections[(min(i, j), max(i, j))]
+        return c if i < j else c.conj().T
+
+    def _walk(self, root: int) -> dict[int, int]:
+        """Breadth-first parent of each patch reachable from root through stored
+        connections, in discovery order; the root is its own parent."""
+        graph: dict[int, list[int]] = {i: [] for i in range(len(self.cover))}
+        for i, j in self.connections:
+            graph[i].append(j)
+            graph[j].append(i)
+        parent = {root: root}
+        queue = [root]
+        for u in queue:  # the queue grows while it is read
+            for v in graph[u]:
+                if v not in parent:
+                    parent[v] = u
+                    queue.append(v)
+        return parent
+
+    def _connection(self, i: int, j: int) -> np.ndarray:
+        parent = self._walk(i)  # a stored (i, j) is found as the one-link path
+        if j not in parent:
+            raise ContractError(
+                f"patches {self.cover.patches[i]} and {self.cover.patches[j]} "
+                "are not linked by any chain of stored connections"
+            )
+        path = [j]
+        while path[-1] != i:
+            path.append(parent[path[-1]])
+        path.reverse()
+        out = self._stored_connection(path[0], path[1])
+        for u, v in zip(path[1:], path[2:]):
+            out = out @ self._stored_connection(u, v)
+        return out
+
+    def _consistency_pairs(self) -> Iterable[tuple[int, int]]:
+        return self.connections.keys()
+
+    def _transport(self, i: int, j: int, vec: np.ndarray) -> np.ndarray:
+        return self._stored_connection(i, j) @ vec
+
+    def _unitarity_matrices(self) -> Iterable[np.ndarray]:
+        return self.connections.values()
+
+    def _step(self, plan: StepPlan, config: IntegratorConfig, reunitarize: bool) -> "DirectState":
+        patches = plan.patches
+        n = self.n_sites
+        t_next = self.time + config.dt
+        new_steps = self.steps + 1
+        dress = [self.dressing_of(p) for p in patches]
+        connections = self.connections
+        missing = [key for key in plan.connection_keys if key not in connections]
+        if missing:
+            if self.steps or self.time:
+                raise ContractError(
+                    "direct-mode state lacks connections required by this "
+                    "Hamiltonian; initialize with init_gauge_state(..., hamiltonian=...)"
+                )
+            eye = np.eye(self.dim, dtype=np.complex128)
+            connections = {**connections, **{key: eye.copy() for key in missing}}
+        keys = sorted(connections)
+        count = len(patches)
+        pos = {key: count + m for m, key in enumerate(keys)}
+
+        def rhs(t: float, y: list[np.ndarray]) -> list[np.ndarray]:
+            def conn(i: int, j: int) -> np.ndarray:
+                c = y[pos[(min(i, j), max(i, j))]]
+                return c if i < j else c.conj().T
+
+            h_eff = [_neighborhood(plan, n, dress, i, t, conn) for i in range(count)]
+            return [-1j * (h @ v) for h, v in zip(h_eff, y[:count])] + [
+                -1j * (h_eff[i] @ c) + 1j * (c @ h_eff[j])
+                for (i, j), c in zip(keys, y[count:])
+            ]
+
+        y = [self.psi[p] for p in patches] + [connections[key] for key in keys]
+        with np.errstate(invalid="ignore", over="ignore"):
+            y = rk4_step(y, self.time, config.dt, rhs)
+        _require_finite(y, t_next, new_steps)
+        psis, conns = y[:count], y[count:]
+        if reunitarize:
+            conns = [_reunitarized(c, t_next, new_steps) for c in conns]
+        if config.renormalize:
+            psis = [v / np.linalg.norm(v) for v in psis]
+        return self._replace(
+            time=t_next,
+            steps=new_steps,
+            psi=dict(zip(patches, psis)),
+            connections=dict(zip(keys, conns)),
+        )
+
+    def _transformed(self, factors: list[np.ndarray], dressing: dict) -> "DirectState":
+        psi = {p: f @ self.psi[p] for p, f in zip(self.cover.patches, factors)}
+        conns = {
+            (i, j): factors[i] @ c @ factors[j].conj().T
+            for (i, j), c in self.connections.items()
+        }
+        return self._replace(psi=psi, connections=conns, dressing=dressing)
+
+    def _layered(self, gates: dict[Patch, np.ndarray]) -> "DirectState":
+        # the transported layer unitary per patch
+        patches = self.cover.patches
+        layer_ops: list[np.ndarray | None] = []
+        for i, p in enumerate(patches):
+            w = None
+            for gp, g in gates.items():
+                if not gp.overlaps(p):
+                    continue
+                j = self.cover.index(gp)
+                c = None if i == j else self._connection(i, j)
+                contrib = _conjugated(g, gp, self.n_sites, c, self.dressing_of(gp))
+                w = contrib if w is None else w @ contrib
+            layer_ops.append(w)
+        psi = {
+            p: (self.psi[p] if layer_ops[i] is None else layer_ops[i] @ self.psi[p])
+            for i, p in enumerate(patches)
+        }
+        conns = {}
+        for (i, j), c in self.connections.items():
+            if layer_ops[j] is not None:
+                c = c @ layer_ops[j].conj().T
+            conns[(i, j)] = c if layer_ops[i] is None else layer_ops[i] @ c
+        return self._replace(psi=psi, connections=conns)
+
+    def _collapsed(self, patch: Patch, collapsed: np.ndarray) -> "DirectState":
+        # transport along the walk's tree edges keeps the consistency identity exact
+        patches = self.cover.patches
+        parent = self._walk(self.cover.index(patch))
+        if len(parent) != len(patches):
+            unreachable = [str(p) for i, p in enumerate(patches) if i not in parent]
+            raise ContractError(
+                "collapse cannot be transported to patches "
+                + ", ".join(unreachable)
+                + " (no stored connection path)"
+            )
+        psi = {}
+        for v, u in parent.items():
+            psi[patches[v]] = collapsed if v == u else self._transport(v, u, psi[patches[u]])
+        return self._replace(psi=psi)
 
 
 # ---------------------------------------------------------------------------
@@ -354,15 +518,15 @@ def init_gauge_state(
     norm = float(np.linalg.norm(psi0))
     if abs(norm - 1.0) > 1e-10:
         raise ContractError(f"psi0 must be normalized, got norm {norm!r}")
+    if mode not in MODES:
+        raise ContractError(f"unknown mode {mode!r}")
     psi = dict(zip(cover.patches, np.repeat(psi0[None, :], len(cover), axis=0)))
     eye = np.eye(cover.dim, dtype=np.complex128)
     if mode == GENERATOR:
         frames = np.repeat(eye[None], len(cover), axis=0)
-        return GaugeState(cover, GENERATOR, 0.0, 0, psi, frame_stack=frames, base=psi0.copy())
-    if mode == DIRECT:
-        conns = {key: eye.copy() for key in sorted(required_pairs(cover, hamiltonian))}
-        return GaugeState(cover, DIRECT, 0.0, 0, psi, connections=conns)
-    raise ContractError(f"unknown mode {mode!r}")
+        return GeneratorState(cover, 0.0, 0, psi, frame_stack=frames, base=psi0.copy())
+    conns = {key: eye.copy() for key in sorted(required_pairs(cover, hamiltonian))}
+    return DirectState(cover, 0.0, 0, psi, connections=conns)
 
 
 # ---------------------------------------------------------------------------
@@ -499,71 +663,9 @@ def step(
     """Advance one RK4 step of config.dt, returning a new state."""
     if state.cover != hml.cover:
         raise ContractError("state and Hamiltonian use different covers")
-    plan = hml.step_plan(state.cover)
-    patches = plan.patches
-    n = state.n_sites
-    dt = config.dt
-    t_next = state.time + dt
     new_steps = state.steps + 1
     reunitarize = bool(config.reunitarize_every) and new_steps % config.reunitarize_every == 0
-    dress = [state.dressing_of(p) for p in patches]
-    if state.mode == GENERATOR:
-        with np.errstate(invalid="ignore", over="ignore"):
-            (frames,) = rk4_step(
-                [state.frame_stack],
-                state.time,
-                dt,
-                lambda t, y: [_frame_rhs(plan, n, dress, t, y[0])],
-            )
-        _require_finite([frames], t_next, new_steps)
-        if reunitarize:
-            frames = _reunitarized(frames, t_next, new_steps)
-        psi = frames @ state.base
-        if config.renormalize:
-            psi /= np.linalg.norm(psi, axis=1, keepdims=True)
-        return state._replace(
-            time=t_next, steps=new_steps, psi=dict(zip(patches, psi)), frame_stack=frames
-        )
-    connections = state.connections
-    missing = [key for key in plan.connection_keys if key not in connections]
-    if missing:
-        if state.steps or state.time:
-            raise ContractError(
-                "direct-mode state lacks connections required by this "
-                "Hamiltonian; initialize with init_gauge_state(..., hamiltonian=...)"
-            )
-        eye = np.eye(state.dim, dtype=np.complex128)
-        connections = {**connections, **{key: eye.copy() for key in missing}}
-    keys = sorted(connections)
-    count = len(patches)
-    pos = {key: count + m for m, key in enumerate(keys)}
-
-    def rhs(t: float, y: list[np.ndarray]) -> list[np.ndarray]:
-        def conn(i: int, j: int) -> np.ndarray:
-            c = y[pos[(min(i, j), max(i, j))]]
-            return c if i < j else c.conj().T
-
-        h_eff = [_neighborhood(plan, n, dress, i, t, conn) for i in range(count)]
-        return [-1j * (h @ v) for h, v in zip(h_eff, y[:count])] + [
-            -1j * (h_eff[i] @ c) + 1j * (c @ h_eff[j])
-            for (i, j), c in zip(keys, y[count:])
-        ]
-
-    y = [state.psi[p] for p in patches] + [connections[key] for key in keys]
-    with np.errstate(invalid="ignore", over="ignore"):
-        y = rk4_step(y, state.time, dt, rhs)
-    _require_finite(y, t_next, new_steps)
-    psis, conns = y[:count], y[count:]
-    if reunitarize:
-        conns = [_reunitarized(c, t_next, new_steps) for c in conns]
-    if config.renormalize:
-        psis = [v / np.linalg.norm(v) for v in psis]
-    return state._replace(
-        time=t_next,
-        steps=new_steps,
-        psi=dict(zip(patches, psis)),
-        connections=dict(zip(keys, conns)),
-    )
+    return state._step(hml.step_plan(state.cover), config, reunitarize)
 
 
 def _reunitarized(mats: np.ndarray, time: float, steps: int) -> np.ndarray:
@@ -609,24 +711,12 @@ def evolve(
 def gauge_transform(state: GaugeState, transform: GaugeTransform) -> GaugeState:
     """Apply a per-patch unitary frame change; all physical quantities invariant."""
     n = state.n_sites
-    patches = list(state.cover.patches)
-    factors = {p: transform.factor(p, n) for p in patches}
+    factors = [transform.factor(p, n) for p in state.cover.patches]
     new_dressing = {}
-    for p in patches:
+    for p, f in zip(state.cover.patches, factors):
         d = state.dressing_of(p)
-        new_dressing[p] = factors[p] if d is None else factors[p] @ d
-    if state.mode == GENERATOR:
-        frames = np.empty_like(state.frame_stack)
-        for i, p in enumerate(patches):
-            np.matmul(factors[p], state.frame_stack[i], out=frames[i])
-        psi = dict(zip(patches, frames @ state.base))
-        return state._replace(frame_stack=frames, psi=psi, dressing=new_dressing)
-    psi = {p: factors[p] @ state.psi[p] for p in patches}
-    conns = {
-        (i, j): factors[patches[i]] @ c @ factors[patches[j]].conj().T
-        for (i, j), c in state.connections.items()
-    }
-    return state._replace(psi=psi, connections=conns, dressing=new_dressing)
+        new_dressing[p] = f if d is None else f @ d
+    return state._transformed(factors, new_dressing)
 
 
 def require_commuting(
@@ -660,71 +750,15 @@ def apply_commuting_layer(
     transported into its frame; connections between updated patches are
     conjugated accordingly. Patches away from every gate are untouched.
     """
-    cover = state.cover
-    checked: dict[Patch, np.ndarray] = {}
-    for patch, op in gates.items():
-        if patch not in cover:
+    checked: dict[Patch, np.ndarray] = {}  # in sorted patch order
+    for patch in sorted(gates):
+        if patch not in state.cover:
             raise ContractError(f"gate patch {patch} is not a cover patch")
-        op = require_unitary(op, what=f"gate on {patch}")
+        op = require_unitary(gates[patch], what=f"gate on {patch}")
         if op.shape[0] != patch.dim:
             raise ContractError(
                 f"gate on {patch} has dim {op.shape[0]}, expected {patch.dim}"
             )
         checked[patch] = op
-    gate_patches = sorted(checked.keys())
-    require_commuting([(gp, checked[gp]) for gp in gate_patches], commutation_tol)
-    patches = list(cover.patches)
-    n = state.n_sites
-    if state.mode == GENERATOR:
-        frames = np.empty_like(state.frame_stack)
-        sandwiches = {}  # V^dag G V with V = D^dag U, for gates reaching other patches
-        for gp in gate_patches:
-            i = cover.index(gp)
-            d = state.dressing_of(gp)
-            v = state.frame_stack[i] if d is None else d.conj().T @ state.frame_stack[i]
-            gv = apply_local(checked[gp], gp, n, v)
-            if any(p != gp and p.overlaps(gp) for p in patches):
-                sandwiches[gp] = v.conj().T @ gv
-            # U (V^dag G V) = D G V: a patch's own gate acts locally
-            frames[i] = gv if d is None else d @ gv
-        for i, p in enumerate(patches):
-            w = None
-            for gp in gate_patches:
-                if gp != p and gp.overlaps(p):
-                    w = sandwiches[gp] if w is None else w @ sandwiches[gp]
-            if p in checked:
-                if w is not None:
-                    frames[i] = frames[i] @ w
-            elif w is None:
-                frames[i] = state.frame_stack[i]
-            else:
-                np.matmul(state.frame_stack[i], w, out=frames[i])
-        psi = dict(zip(patches, frames @ state.base))
-        return state._replace(frame_stack=frames, psi=psi)
-    # direct mode: build the transported layer unitary per patch
-    layer_ops: list[np.ndarray | None] = []
-    for i, p in enumerate(patches):
-        w = None
-        for gp in gate_patches:
-            if not gp.overlaps(p):
-                continue
-            j = cover.index(gp)
-            c = None if i == j else state._direct_connection(i, j)
-            contrib = _conjugated(checked[gp], gp, n, c, state.dressing_of(gp))
-            w = contrib if w is None else w @ contrib
-        layer_ops.append(w)
-    psi = {
-        p: (state.psi[p] if layer_ops[i] is None else layer_ops[i] @ state.psi[p])
-        for i, p in enumerate(patches)
-    }
-    conns = {}
-    for (i, j), c in state.connections.items():
-        left = layer_ops[i]
-        right = layer_ops[j]
-        out = c
-        if right is not None:
-            out = out @ right.conj().T
-        if left is not None:
-            out = left @ out
-        conns[(i, j)] = out
-    return state._replace(psi=psi, connections=conns)
+    require_commuting(list(checked.items()), commutation_tol)
+    return state._layered(checked)

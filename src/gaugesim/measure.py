@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
-from .gauge import GENERATOR, GaugeState
+from .gauge import GaugeState
 from .lattice import Patch, apply_local
 from .linalg import as_operator
 
@@ -66,43 +66,39 @@ def validate_kraus(ks: KrausSet, tol: float = 1e-10) -> KrausCheck:
     return KrausCheck(ok=defect <= tol, defect=defect, tol=tol)
 
 
-def _require_complete(ks: KrausSet, tol: float = 1e-10) -> None:
-    check = validate_kraus(ks, tol)
+def _outcomes(
+    state: GaugeState, ks: KrausSet, consistency_tol: float
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """E_k applied to the measured patch's wavefunction (picture-dressed), and P_k."""
+    if ks.patch not in state.cover:
+        raise ContractError(f"{ks.patch} is not a patch of the cover")
+    check = validate_kraus(ks)
     if not check.ok:
         raise ContractError(
             f"Kraus operators do not resolve the identity (defect {check.defect:.3e})"
         )
-
-
-def _collapsed_vectors(state: GaugeState, ks: KrausSet) -> list[np.ndarray]:
-    """E_k applied to the measured patch's wavefunction (picture-dressed)."""
-    patch = ks.patch
-    psi = state.psi[patch]
-    d = state.dressing_of(patch)
-    w = psi if d is None else d.conj().T @ psi
-    out = []
-    for e in ks.operators:
-        v = apply_local(e, patch, state.n_sites, w)
-        out.append(v if d is None else d @ v)
-    return out
-
-
-def measurement_probabilities(
-    state: GaugeState, ks: KrausSet, consistency_tol: float = 1e-6
-) -> np.ndarray:
-    """P_k = <psi_I0 | E_k^dag E_k | psi_I0> for the measured patch I0."""
-    if ks.patch not in state.cover:
-        raise ContractError(f"{ks.patch} is not a patch of the cover")
-    _require_complete(ks)
     defect = state.consistency()
     if defect > consistency_tol:
         raise ContractError(
             f"state is inconsistent (defect {defect:.3e} > {consistency_tol:.1e}); "
             "measurement probabilities would be ambiguous"
         )
-    return np.array(
-        [float(np.linalg.norm(v)) ** 2 for v in _collapsed_vectors(state, ks)]
-    )
+    patch = ks.patch
+    psi = state.psi[patch]
+    d = state.dressing_of(patch)
+    w = psi if d is None else d.conj().T @ psi
+    vecs = []
+    for e in ks.operators:
+        v = apply_local(e, patch, state.n_sites, w)
+        vecs.append(v if d is None else d @ v)
+    return vecs, np.array([float(np.linalg.norm(v)) ** 2 for v in vecs])
+
+
+def measurement_probabilities(
+    state: GaugeState, ks: KrausSet, consistency_tol: float = 1e-6
+) -> np.ndarray:
+    """P_k = <psi_I0 | E_k^dag E_k | psi_I0> for the measured patch I0."""
+    return _outcomes(state, ks, consistency_tol)[1]
 
 
 def _sample_outcome(probs: np.ndarray, rng: np.random.Generator) -> int:
@@ -128,7 +124,7 @@ def apply_measurement(
     `outcome` forces a specific Kraus operator; otherwise one is sampled from
     the outcome distribution using the supplied seed or generator.
     """
-    probs = measurement_probabilities(state, ks, consistency_tol=consistency_tol)
+    vecs, probs = _outcomes(state, ks, consistency_tol)
     if outcome is None:
         if rng is None:
             raise ContractError("provide either an outcome or a seeded generator")
@@ -144,43 +140,8 @@ def apply_measurement(
             f"outcome {outcome} has probability {p:.3e} <= {min_probability:.1e}; "
             "the post-measurement state is undefined"
         )
-    collapsed = _collapsed_vectors(state, ks)[outcome]
-    collapsed = collapsed / np.linalg.norm(collapsed)
-    patches = list(state.cover.patches)
-    i0 = state.cover.index(ks.patch)
-    if state.mode == GENERATOR:
-        new_base = state.frame_stack[i0].conj().T @ collapsed
-        psi = dict(zip(patches, state.frame_stack @ new_base))
-        psi[ks.patch] = collapsed
-        new_state = state._replace(psi=psi, base=new_base)
-    else:
-        # breadth-first transport along stored connections, rooted at the
-        # measured patch; tree edges keep the consistency identity exact
-        psi = {ks.patch: collapsed}
-        graph: dict[int, list[int]] = {i: [] for i in range(len(patches))}
-        for i, j in state.connections:
-            graph[i].append(j)
-            graph[j].append(i)
-        frontier = [i0]
-        seen = {i0}
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in graph[u]:
-                    if v in seen:
-                        continue
-                    seen.add(v)
-                    psi[patches[v]] = state._stored_connection(v, u) @ psi[patches[u]]
-                    nxt.append(v)
-            frontier = nxt
-        if len(seen) != len(patches):
-            unreachable = [str(patches[i]) for i in range(len(patches)) if i not in seen]
-            raise ContractError(
-                "collapse cannot be transported to patches "
-                + ", ".join(unreachable)
-                + " (no stored connection path)"
-            )
-        new_state = state._replace(psi=psi)
+    collapsed = vecs[outcome] / np.linalg.norm(vecs[outcome])
+    new_state = state._collapsed(ks.patch, collapsed)
     return new_state, MeasurementRecord(outcome=outcome, probability=p)
 
 

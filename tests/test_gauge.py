@@ -10,7 +10,11 @@ from gaugesim.errors import ContractError, DivergenceError
 from gaugesim.gauge import (
     DIRECT,
     GENERATOR,
+    MODES,
+    DirectState,
+    GaugeState,
     GaugeTransform,
+    GeneratorState,
     IntegratorConfig,
     apply_commuting_layer,
     effective_hamiltonian,
@@ -31,7 +35,7 @@ from gaugesim.hamiltonian import (
     tfim_chain,
     tfim_chain_sitewise,
 )
-from gaugesim.lattice import Patch, PatchCover, embed_operator, nn_pair_cover
+from gaugesim.lattice import Patch, PatchCover, embed_operator, nn_pair_cover, single_site_cover
 from gaugesim.linalg import frobenius_distance, polar_unitary, random_unitary
 from gaugesim.reference import (
     heisenberg_expectation,
@@ -95,7 +99,8 @@ class TestIntegratorConfig:
             IntegratorConfig(dt=0.0)
 
     def test_rejects_unknown_scheme(self):
-        with pytest.raises(ContractError):
+        # RK4 is the only integrator: there is no scheme option to set
+        with pytest.raises(TypeError):
             IntegratorConfig(scheme="euler")
 
 
@@ -136,6 +141,23 @@ class TestConnection:
         _, _, state, _ = tfim4_evolved
         with pytest.raises(ContractError):
             state.connection(Patch((0, 3)), Patch((0, 1)))
+
+    def test_direct_mode_chains_stored_connections_along_the_walk(self):
+        h = tfim_chain(5, 1.0, 1.0)
+        state = init_gauge_state(plus_state(5), h.cover, mode=DIRECT, hamiltonian=h)
+        state = evolve(state, h, 0.05, CFG)
+        ps = state.cover.patches
+        c01, c12, c23 = (state.connections[(k, k + 1)] for k in range(3))
+        assert np.array_equal(state.connection(ps[0], ps[3]), c01 @ c12 @ c23)
+        back = c23.conj().T @ c12.conj().T @ c01.conj().T
+        assert np.array_equal(state.connection(ps[3], ps[0]), back)
+
+    def test_direct_mode_unlinked_patches_raise(self):
+        # single-site patches never overlap: without a Hamiltonian nothing is stored
+        state = init_gauge_state(plus_state(3), single_site_cover(3), mode=DIRECT)
+        assert state.connections == {}
+        with pytest.raises(ContractError, match="not linked by any chain of stored connections"):
+            state.connection(Patch((0,)), Patch((2,)))
 
 
 class TestEffectiveHamiltonian:
@@ -673,6 +695,44 @@ class TestFrameStack:
         assert layered.frame_stack.shape == state.frame_stack.shape
         measured, _ = apply_measurement(layered, site_projectors(Patch((1, 2)), 1), outcome=0)
         assert measured.frame_stack is layered.frame_stack
+
+
+class TestModeClasses:
+    """Each mode is one GaugeState subclass; the public functions keep its class."""
+
+    def test_factory_dispatches_on_modes(self):
+        assert MODES == (GENERATOR, DIRECT)
+        h = tfim_chain(3, 1.0, 1.0)
+        gen = init_gauge_state(plus_state(3), h.cover)
+        direct = init_gauge_state(plus_state(3), h.cover, mode=DIRECT, hamiltonian=h)
+        assert type(gen) is GeneratorState and gen.mode == GENERATOR
+        assert type(direct) is DirectState and direct.mode == DIRECT
+        assert gen.connections is None
+        assert direct.frame_stack is None and direct.base is None and direct.frames is None
+        with pytest.raises(ContractError, match="unknown mode"):
+            init_gauge_state(plus_state(3), h.cover, mode="euler")
+
+    def test_diagnostics_is_defined_once(self):
+        assert "diagnostics" in vars(GaugeState)
+        assert "diagnostics" not in vars(GeneratorState)
+        assert "diagnostics" not in vars(DirectState)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_public_functions_return_the_input_class(self, mode):
+        from gaugesim.measure import apply_measurement, site_projectors
+
+        h = tfim_chain(4, 1.0, 1.0)
+        state = init_gauge_state(plus_state(4), h.cover, mode=mode, hamiltonian=h)
+        rng = np.random.default_rng(4)
+        outs = [step(state, h, CFG)]
+        frame_change = GaugeTransform({Patch((1, 2)): random_unitary(4, rng)})
+        outs.append(gauge_transform(outs[-1], frame_change))
+        outs.append(apply_commuting_layer(outs[-1], {Patch((0, 1)): random_unitary(4, rng)}))
+        outs.append(apply_measurement(outs[-1], site_projectors(Patch((2, 3)), 3), outcome=0)[0])
+        for out in outs:
+            assert type(out) is type(state)
+            assert out.mode == mode
+            assert out.diagnostics(include_cocycle=False).consistency < 1e-10
 
 
 class TestReunitarizationFailure:

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 import gaugesim.gauge as gauge_module
+import gaugesim.measure as measure_module
 from gaugesim.errors import ContractError
 from gaugesim.gauge import DIRECT, IntegratorConfig, evolve, init_gauge_state
 from gaugesim.hamiltonian import PAULI_X, PAULI_Z, tfim_chain
-from gaugesim.lattice import Patch, embed_operator, nn_pair_cover
+from gaugesim.lattice import Patch, embed_operator, nn_pair_cover, single_site_cover
 from gaugesim.measure import (
     KrausSet,
     apply_measurement,
@@ -128,6 +129,26 @@ class TestProbabilities:
 
 
 class TestApplyMeasurement:
+    def test_each_kraus_product_is_computed_once(self, evolved, monkeypatch):
+        _, _, state, _ = evolved
+        calls = []
+        original = measure_module.apply_local
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(measure_module, "apply_local", counting)
+        ks = site_projectors(Patch((1, 2)), 1)
+        apply_measurement(state, ks, rng=3)
+        assert len(calls) == len(ks)
+
+    def test_direct_mode_collapse_needs_linked_patches(self):
+        # single-site patches never overlap: without a Hamiltonian nothing is stored
+        state = init_gauge_state(plus_state(3), single_site_cover(3), mode=DIRECT)
+        with pytest.raises(ContractError, match="collapse cannot be transported to patches"):
+            apply_measurement(state, site_projectors(Patch((0,)), 0), outcome=0)
+
     def test_eigenstate_is_left_alone(self):
         cover = nn_pair_cover(4)
         psi0 = np.zeros(16, dtype=complex)
