@@ -61,13 +61,6 @@ class Circuit:
     def layer_gates(self, i: int) -> dict[Patch, np.ndarray]:
         return {g.patch: g.op for g in self.layers[i]}
 
-    def layer_unitary(self, i: int) -> np.ndarray:
-        """The layer's global unitary (product of its embedded gates)."""
-        u = np.eye(2**self.n_sites, dtype=np.complex128)
-        for g in self.layers[i]:
-            u = apply_local(g.op, g.patch, self.n_sites, u)
-        return u
-
     def unitary(self) -> np.ndarray:
         """Full circuit unitary; layer 0 acts first."""
         u = np.eye(2**self.n_sites, dtype=np.complex128)

@@ -208,6 +208,7 @@ class LocalHamiltonian:
         self._embedded_terms: list[np.ndarray | None] = [None] * len(self.terms)
         self._embedded_factors: dict[tuple[int, int], np.ndarray] = {}
         self._plans: dict[tuple[Patch, ...], StepPlan] = {}
+        self._spectrum: tuple[np.ndarray, np.ndarray] | None = None
         if self.gen_terms:
             gen_sum = self._gen_sum(0.0)
             defect = hermiticity_defect(gen_sum)
@@ -237,6 +238,18 @@ class LocalHamiltonian:
                 raise ContractError("cover does not match the Hamiltonian's cover")
             plan = self._plans[cover.patches] = StepPlan.build(self, cover)
         return plan
+
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """Cached `eigh` of the dense H of a time-independent Hamiltonian.
+
+        Returns (E, V) with H = V diag(E) V^dag; computed on the first call.
+        """
+        if self.is_time_dependent:
+            raise ContractError("a time-dependent Hamiltonian has no fixed spectrum")
+        if self._spectrum is None:
+            h = require_hermitian(self.total(0.0), tol=1e-12, what="generator")
+            self._spectrum = np.linalg.eigh(h)
+        return self._spectrum
 
     # -- embedded-matrix caches ----------------------------------------
 

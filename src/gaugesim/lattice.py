@@ -114,9 +114,6 @@ class PatchCover:
         """All cover patches sharing a site with `patch` (including itself)."""
         return tuple(self.patches[j] for j in self._adjacent[self.index(patch)])
 
-    def overlapping_indices(self, i: int) -> tuple[int, ...]:
-        return self._adjacent[i]
-
     def overlap_pairs(self) -> list[tuple[int, int]]:
         """Index pairs (i, j), i < j, of distinct overlapping patches."""
         return [

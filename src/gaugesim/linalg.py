@@ -51,14 +51,6 @@ def unitarity_defect(m) -> float:
     return float(np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0])))
 
 
-def is_hermitian(m, tol: float = DEFAULT_TOL) -> bool:
-    return hermiticity_defect(m) <= tol
-
-
-def is_unitary(m, tol: float = DEFAULT_TOL) -> bool:
-    return unitarity_defect(m) <= tol
-
-
 def require_hermitian(m, tol: float = DEFAULT_TOL, what: str = "operator") -> np.ndarray:
     m = as_operator(m)
     defect = hermiticity_defect(m)
@@ -91,40 +83,60 @@ def expm_hermitian(h, t: float = 1.0, tol: float = 1e-12) -> np.ndarray:
 def polar_unitary(m, tol: float = 1e-12, max_iter: int = 100) -> np.ndarray:
     """Unitary factor of the polar decomposition (nearest unitary in Frobenius norm).
 
-    Newton iteration X <- (X + X^{-dag}) / 2, quadratically convergent for
-    nonsingular input. The inputs seen here are near-unitary matrices after
-    integration drift, for which a handful of iterations suffice.
+    Each iterate X forms one Gram product G = X^dag X, and E = 1 - G is both
+    its unitarity defect ||E||_F and the driver of the next update. While
+    ||E||_F < 1 (so ||E||_2 < 1, inside the quadratic convergence region) the
+    update is the Newton-Schulz step X <- X (3 - X^dag X) / 2 = X + X E / 2,
+    one GEMM; otherwise it is the Newton step X <- (X + X^{-dag}) / 2, which
+    needs an inverse and raises on singular input. A near-unitary matrix,
+    as left by integration drift, costs three GEMMs and no LU.
 
-    `m` is one matrix or a (..., D, D) stack. Each matrix of a stack stops
-    iterating once its own update is below tol, so it ends exactly where a
-    call on that matrix alone would, and each must pass the defect check.
+    Every matrix takes at least one update and stops once its last update's
+    largest entry is <= tol/4, or after max_iter updates; the defect of its
+    final iterate, read from that iterate's own Gram, must then be at most
+    max(tol, 1e-12 * D). `m` is one matrix or a (..., D, D) stack; each
+    matrix iterates on its own, so it ends exactly where a call on it alone
+    would. `m` is never written.
     """
     x = np.asarray(m, dtype=np.complex128)
     if x.ndim < 2 or x.shape[-1] != x.shape[-2]:
         raise ContractError(f"expected a square matrix or a stack of them, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ContractError("polar_unitary: input has non-finite entries")
-    stack = x.reshape(-1, x.shape[-1], x.shape[-1])
-    moving = np.arange(len(stack))
-    for _ in range(max_iter):
-        cur = stack if moving.size == len(stack) else stack[moving]
-        try:
-            inv_dag = np.linalg.inv(cur).conj().swapaxes(-1, -2)
-        except np.linalg.LinAlgError as exc:
-            raise ContractError("polar_unitary: singular matrix") from exc
-        nxt = 0.5 * (cur + inv_dag)
-        moved = np.max(np.abs(nxt - cur), axis=(-2, -1))
-        if moving.size == len(stack):
-            stack = nxt  # the first iteration always lands here, so `m` is never written
-        else:
-            stack[moving] = nxt
-        moving = moving[moved > 0.25 * tol]
-        if not moving.size:
-            break
-    defect = max(unitarity_defect(u) for u in stack)
-    if defect > max(tol, 1e-12 * x.shape[-1]):
-        raise ContractError(f"polar_unitary did not converge (defect {defect:.3e})")
-    return stack.reshape(x.shape)
+    dim = x.shape[-1]
+    out = np.array(x.reshape(-1, dim, dim))
+    eye = np.eye(dim)
+    # One block for both scratch matrices: freeing a block of 2 D^2 raises
+    # glibc's dynamic mmap and trim thresholds past it, so the D x D
+    # temporaries of later integration steps stay on reused heap pages rather
+    # than being trimmed and faulted in again (at n = 7, direct mode took 3x
+    # the page faults per step with two separate D x D scratch arrays).
+    err, update = np.empty((2, dim, dim), dtype=np.complex128)
+    worst = 0.0
+    for u in out:
+        for updates in range(max_iter + 1):
+            np.matmul(u.conj().T, u, out=err)
+            np.subtract(eye, err, out=err)
+            defect = float(np.linalg.norm(err))
+            if updates == max_iter or (updates and moved <= 0.25 * tol):
+                break
+            if defect < 1.0:
+                np.matmul(u, err, out=update)
+                update *= 0.5
+                moved = np.max(np.abs(update))
+                u += update
+            else:
+                try:
+                    inv_dag = np.linalg.inv(u).conj().T
+                except np.linalg.LinAlgError as exc:
+                    raise ContractError("polar_unitary: singular matrix") from exc
+                nxt = 0.5 * (u + inv_dag)
+                moved = np.max(np.abs(nxt - u))
+                u[...] = nxt
+        worst = max(worst, defect)
+    if worst > max(tol, 1e-12 * dim):
+        raise ContractError(f"polar_unitary did not converge (defect {worst:.3e})")
+    return out.reshape(x.shape)
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -53,8 +53,11 @@ class KrausCheck:
 
 @dataclass(frozen=True)
 class MeasurementRecord:
+    """The chosen outcome, its probability, and every outcome's probability P_k."""
+
     outcome: int
     probability: float
+    probabilities: tuple[float, ...]
 
 
 def validate_kraus(ks: KrausSet, tol: float = 1e-10) -> KrausCheck:
@@ -142,7 +145,9 @@ def apply_measurement(
         )
     collapsed = vecs[outcome] / np.linalg.norm(vecs[outcome])
     new_state = state._collapsed(ks.patch, collapsed)
-    return new_state, MeasurementRecord(outcome=outcome, probability=p)
+    return new_state, MeasurementRecord(
+        outcome=outcome, probability=p, probabilities=tuple(float(q) for q in probs)
+    )
 
 
 def site_projectors(patch: Patch, site: int, basis: str = "Z") -> KrausSet:

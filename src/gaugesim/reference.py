@@ -73,10 +73,17 @@ def _require_normalized(psi0) -> np.ndarray:
     return psi0
 
 
+def _phases(evals: np.ndarray, t: float) -> np.ndarray:
+    if not np.isfinite(t):
+        raise ContractError(f"time must be finite, got {t}")
+    return np.exp(-1j * evals * t)
+
+
 def global_propagator(hml: LocalHamiltonian, t: float, dt: float | None = None) -> np.ndarray:
-    """U with psi(t) = U psi(0); closed form when H is time-independent."""
+    """U with psi(t) = U psi(0); from the cached spectrum when H is time-independent."""
     if not hml.is_time_dependent:
-        return expm_hermitian(hml.total(0.0), t)
+        evals, vecs = hml.spectrum()
+        return (vecs * _phases(evals, t)) @ vecs.conj().T
     u = np.eye(hml.cover.dim, dtype=np.complex128)
     (u,) = _integrate_generated([u], [lambda tau: hml.total(tau)], t, dt)
     return u
@@ -100,10 +107,15 @@ def _integrate_generated(mats, generators, t_end, dt):
 def schrodinger_evolve(
     hml: LocalHamiltonian, psi0, t: float, dt: float | None = None
 ) -> np.ndarray:
-    """psi(t) from the global linear evolution of the full chain."""
+    """psi(t) from the global linear evolution of the full chain.
+
+    A time-independent H is applied as V (e^{-iEt} (V^dag psi0)), two
+    matrix-vector products with the Hamiltonian's cached spectrum.
+    """
     psi0 = _require_normalized(psi0)
     if not hml.is_time_dependent:
-        return expm_hermitian(hml.total(0.0), t) @ psi0
+        evals, vecs = hml.spectrum()
+        return vecs @ (_phases(evals, t) * (psi0.conj() @ vecs).conj())
     dt = DEFAULT_REFERENCE_DT if dt is None else float(dt)
 
     def deriv(tau, ys):
@@ -133,7 +145,7 @@ def reference_gauge_state(
     patches = list(cover.patches)
     if not hml.is_time_dependent:
         h_full = hml.total(0.0)
-        propagator = expm_hermitian(h_full, t)
+        propagator = global_propagator(hml, t)
         complements = {
             p: expm_hermitian(h_full - hml.neighborhood(p, 0.0), t) for p in patches
         }

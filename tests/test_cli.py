@@ -185,6 +185,54 @@ class TestScenarios:
         for record in records:
             jsonschema.validate(record, SCHEMA)
 
+    def test_measure_scenario_sweeps_once(self, tmp_path, monkeypatch):
+        import gaugesim.measure as measure_module
+
+        calls = []
+        outcomes = measure_module._outcomes
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return outcomes(*args, **kwargs)
+
+        monkeypatch.setattr(measure_module, "_outcomes", counting)
+        cfg = write_config(
+            tmp_path,
+            base_config(scenario="measure", measure={"site": 2, "time": 0.1}, seed=5),
+        )
+        out = tmp_path / "out.jsonl"
+        assert main(["measure", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert len(calls) == 1
+
+    def test_bench_times_warm_steps(self, tmp_path, monkeypatch):
+        import gaugesim.cli as cli_module
+        from gaugesim.hamiltonian import StepPlan
+
+        builds, timed = [], []
+        build, evolve = StepPlan.build, cli_module.evolve
+
+        def counting_build(cls, *args):
+            builds.append(1)
+            return build(*args)
+
+        def recording_evolve(state, *args, **kwargs):
+            before = len(builds)
+            out = evolve(state, *args, **kwargs)
+            timed.append((before, len(builds), state.steps, out.steps))
+            return out
+
+        monkeypatch.setattr(StepPlan, "build", classmethod(counting_build))
+        monkeypatch.setattr(cli_module, "evolve", recording_evolve)
+        cfg = write_config(
+            tmp_path,
+            base_config(scenario="bench", bench={"sizes": [4], "steps": 3}),
+        )
+        assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "b.csv")]) == EXIT_OK
+        # one timed run per mode: the configured steps from a fresh state, with
+        # the step plan built before the clock starts and not rebuilt inside it
+        assert [(first, last) for _, _, first, last in timed] == [(0, 3), (0, 3)]
+        assert all(0 < before == after for before, after, _, _ in timed)
+
     def test_bench_scenario(self, tmp_path):
         cfg = write_config(
             tmp_path,

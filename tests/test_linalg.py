@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gaugesim.linalg as linalg_module
 from gaugesim.errors import ContractError
 from gaugesim.linalg import (
     expm_hermitian,
@@ -84,6 +85,53 @@ class TestPolarUnitary:
         noise = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         m = u + 1e-3 * noise
         assert frobenius_distance(polar_unitary(m), svd_polar(m)) < 1e-12
+
+    @pytest.mark.parametrize("dim", [8, 128])
+    def test_near_unitary_stack_matches_svd_oracle(self, dim):
+        rng = np.random.default_rng(21)
+        stack = np.array([random_unitary(dim, rng) for _ in range(3)])
+        noise = rng.standard_normal(stack.shape) + 1j * rng.standard_normal(stack.shape)
+        stack = stack + np.array([1e-3, 1e-6, 1e-9])[:, None, None] * noise
+        for m, u in zip(stack, polar_unitary(stack)):
+            assert frobenius_distance(u, svd_polar(m)) < 1e-12
+
+    @pytest.mark.parametrize("case", ["scaled identity", "gaussian", "mixed stack"])
+    def test_far_input_matches_svd_oracle(self, case):
+        rng = np.random.default_rng(8)
+        gaussian = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        near = random_unitary(8, rng) + 1e-6 * gaussian
+        m = {
+            "scaled identity": 2.0 * np.eye(8),
+            "gaussian": gaussian,
+            "mixed stack": np.array([near, gaussian]),
+        }[case]
+        got = polar_unitary(m).reshape(-1, 8, 8)
+        for x, u in zip(m.reshape(-1, 8, 8), got):
+            assert frobenius_distance(u, svd_polar(x)) < 1e-12
+
+    @pytest.mark.parametrize("eps, newton", [(1e-9, False), (1e-2, False), (1.0, True)])
+    def test_inverse_only_outside_the_schulz_region(self, monkeypatch, eps, newton):
+        """No LU and no separate defect pass while ||1 - X^dag X||_F < 1."""
+        rng = np.random.default_rng(4)
+        u = random_unitary(16, rng)
+        m = u + eps * (rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))
+        assert (unitarity_defect(m) >= 1.0) == newton
+        counts = {"inv": 0, "defect": 0}
+        inv, defect = np.linalg.inv, linalg_module.unitarity_defect
+
+        def counting_inv(a):
+            counts["inv"] += 1
+            return inv(a)
+
+        def counting_defect(a):
+            counts["defect"] += 1
+            return defect(a)
+
+        monkeypatch.setattr(np.linalg, "inv", counting_inv)
+        monkeypatch.setattr(linalg_module, "unitarity_defect", counting_defect)
+        polar_unitary(m)
+        assert counts["defect"] == 0
+        assert (counts["inv"] > 0) == newton
 
     def test_singular_input_raises(self):
         with pytest.raises(ContractError):

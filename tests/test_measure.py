@@ -143,6 +143,13 @@ class TestApplyMeasurement:
         apply_measurement(state, ks, rng=3)
         assert len(calls) == len(ks)
 
+    def test_record_carries_every_probability(self, evolved):
+        _, _, state, _ = evolved
+        ks = site_projectors(Patch((1, 2)), 1)
+        _, record = apply_measurement(state, ks, rng=3)
+        assert np.array_equal(record.probabilities, measurement_probabilities(state, ks))
+        assert record.probability == record.probabilities[record.outcome]
+
     def test_direct_mode_collapse_needs_linked_patches(self):
         # single-site patches never overlap: without a Hamiltonian nothing is stored
         state = init_gauge_state(plus_state(3), single_site_cover(3), mode=DIRECT)

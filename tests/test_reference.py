@@ -11,7 +11,7 @@ from gaugesim.hamiltonian import (
     tfim_chain,
 )
 from gaugesim.lattice import Patch, PatchCover, embed_operator, nn_pair_cover
-from gaugesim.linalg import frobenius_distance, unitarity_defect
+from gaugesim.linalg import expm_hermitian, frobenius_distance, unitarity_defect
 from gaugesim.reference import (
     global_propagator,
     heisenberg_expectation,
@@ -55,6 +55,39 @@ class TestSchrodingerEvolve:
         got = schrodinger_evolve(h, psi0, t)
         want = np.array([np.exp(-1j * t), np.exp(1j * t)]) / np.sqrt(2)
         assert np.linalg.norm(got - want) < 1e-13
+
+    def test_cached_spectrum_matches_propagator(self, monkeypatch):
+        h = tfim_chain(4)
+        psi0 = random_state(16, np.random.default_rng(6))
+        times = [0.0, 0.3, 1.7, 12.5]
+        want = [expm_hermitian(h.total(), t) @ psi0 for t in times]
+        want_u = expm_hermitian(h.total(), 0.9)
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting(a):
+            calls.append(a.shape)
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        for t, w in zip(times, want):
+            assert np.linalg.norm(schrodinger_evolve(h, psi0, t) - w) < 1e-12
+        assert frobenius_distance(global_propagator(h, 0.9), want_u) < 1e-12
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("oracle", [schrodinger_evolve, global_propagator])
+    def test_rejects_non_finite_time(self, oracle):
+        h = tfim_chain(2)
+        args = (plus_state(2), np.nan) if oracle is schrodinger_evolve else (np.inf,)
+        with pytest.raises(ContractError, match="finite"):
+            oracle(h, *args)
+
+    def test_rejects_non_hermitian_hamiltonian(self):
+        # within the term's 1e-10 tolerance but outside the oracle's 1e-12
+        op = np.array([[0.0, 1.0], [1.0 + 1e-11, 0.0]])
+        h = LocalHamiltonian(PatchCover(1, [Patch((0,))]), [LocalTerm(Patch((0,)), op)])
+        with pytest.raises(ContractError, match="not Hermitian"):
+            schrodinger_evolve(h, np.array([1.0, 0.0]), 0.1)
 
     def test_rejects_unnormalized_state(self):
         h = tfim_chain(2)
