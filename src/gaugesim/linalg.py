@@ -83,8 +83,8 @@ def expm_hermitian(h, t: float = 1.0, tol: float = 1e-12) -> np.ndarray:
 def polar_unitary(m, tol: float = 1e-12, max_iter: int = 100) -> np.ndarray:
     """Unitary factor of the polar decomposition (nearest unitary in Frobenius norm).
 
-    Each iterate X forms one Gram product G = X^dag X, and E = 1 - G is both
-    its unitarity defect ||E||_F and the driver of the next update. While
+    Each iterate X forms one Gram product G = X^dag X; E = 1 - G gives its
+    unitarity defect ||E||_F and also sets the next update. While
     ||E||_F < 1 (so ||E||_2 < 1, inside the quadratic convergence region) the
     update is the Newton-Schulz step X <- X (3 - X^dag X) / 2 = X + X E / 2,
     one GEMM; otherwise it is the Newton step X <- (X + X^{-dag}) / 2, which
@@ -121,18 +121,16 @@ def polar_unitary(m, tol: float = 1e-12, max_iter: int = 100) -> np.ndarray:
             if updates == max_iter or (updates and moved <= 0.25 * tol):
                 break
             if defect < 1.0:
-                np.matmul(u, err, out=update)
-                update *= 0.5
-                moved = np.max(np.abs(update))
-                u += update
+                np.matmul(u, err, out=update)  # Newton-Schulz: X E
             else:
                 try:
-                    inv_dag = np.linalg.inv(u).conj().T
+                    inv = np.linalg.inv(u)
                 except np.linalg.LinAlgError as exc:
                     raise ContractError("polar_unitary: singular matrix") from exc
-                nxt = 0.5 * (u + inv_dag)
-                moved = np.max(np.abs(nxt - u))
-                u[...] = nxt
+                np.subtract(inv.conj().T, u, out=update)  # Newton: X^{-dag} - X
+            update *= 0.5
+            moved = np.max(np.abs(update))
+            u += update
         worst = max(worst, defect)
     if worst > max(tol, 1e-12 * dim):
         raise ContractError(f"polar_unitary did not converge (defect {worst:.3e})")
