@@ -38,7 +38,7 @@ from .gauge import (
 )
 from .hamiltonian import LocalHamiltonian, build_model, pauli_on
 from .lattice import Patch, PatchCover, apply_local, cover_from_config, embed_operator
-from .measure import apply_measurement, site_projectors
+from .measure import PAULI_BASES, KrausSet, apply_measurement, site_projectors
 from .circuits import audit_lightcone, brickwork, circuit_reference, run_circuit
 from .reference import reference_gauge_state, schrodinger_evolve
 
@@ -92,12 +92,51 @@ class Experiment:
     out_format: str
     hash: str = ""
     circuit_cfg: dict = field(default_factory=dict)
+    audit_patches: list[Patch] = field(default_factory=list)
     measure_cfg: dict = field(default_factory=dict)
+    measure_site: int = 0
+    projectors: KrausSet | None = None
     bench_cfg: dict = field(default_factory=dict)
 
 
 def _fail(path: str, message: str) -> ConfigError:
     return ConfigError(f"config field '{path}': {message}")
+
+
+def _integer(value, path: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise _fail(path, f"must be an integer, got {value!r}") from None
+
+
+def _cover_patch(spec, cover: PatchCover, path: str) -> Patch:
+    try:
+        patch = Patch(spec)
+    except (ContractError, TypeError, ValueError) as exc:
+        raise _fail(path, str(exc)) from None
+    if patch not in cover:
+        raise _fail(path, f"{patch} is not a cover patch")
+    return patch
+
+
+def _parse_measure(spec: dict, cover: PatchCover) -> tuple[int, KrausSet]:
+    """The measured site and its projectors, from the `measure` object."""
+    if "site" not in spec:
+        raise _fail("measure.site", "is required")
+    site = _integer(spec["site"], "measure.site")
+    if spec.get("patch") is None:
+        host = next((p for p in cover.patches if site in p), None)
+        if host is None:
+            raise _fail("measure.site", f"site {site} lies in no cover patch")
+    else:
+        host = _cover_patch(spec["patch"], cover, "measure.patch")
+        if site not in host:
+            raise _fail("measure.site", f"site {site} is not in {host}")
+    basis = str(spec.get("basis", "Z"))
+    if basis not in PAULI_BASES:
+        raise _fail("measure.basis", f"must be one of {list(PAULI_BASES)}, got {basis!r}")
+    return site, site_projectors(host, site, basis=basis)
 
 
 def _initial_state(spec, n: int) -> np.ndarray:
@@ -168,10 +207,9 @@ def parse_config(raw: dict, overrides: dict | None = None) -> Experiment:
     model = cfg.get("model")
     if not isinstance(model, dict) or "name" not in model:
         raise _fail("model", "must be an object with a 'name'")
-    try:
-        n_sites = int(cfg["n_sites"])
-    except KeyError:
-        raise _fail("n_sites", "is required") from None
+    if "n_sites" not in cfg:
+        raise _fail("n_sites", "is required")
+    n_sites = _integer(cfg["n_sites"], "n_sites")
     if n_sites < 1:
         raise _fail("n_sites", "must be >= 1")
 
@@ -242,11 +280,15 @@ def parse_config(raw: dict, overrides: dict | None = None) -> Experiment:
         raise _fail("times", f"scenario {scenario!r} needs at least one time")
     if scenario in ("evolve", "validate") and not observables:
         raise _fail("observables", f"scenario {scenario!r} needs observables")
-    if scenario == "circuit" and int(exp.circuit_cfg.get("depth", 0)) < 1:
-        raise _fail("circuit.depth", "must be >= 1")
+    if scenario == "circuit":
+        if _integer(exp.circuit_cfg.get("depth", 0), "circuit.depth") < 1:
+            raise _fail("circuit.depth", "must be >= 1")
+        exp.audit_patches = [
+            _cover_patch(spec, cover, f"circuit.audit_patches[{idx}]")
+            for idx, spec in enumerate(exp.circuit_cfg.get("audit_patches", []))
+        ]
     if scenario == "measure":
-        if "site" not in exp.measure_cfg:
-            raise _fail("measure.site", "is required")
+        exp.measure_site, exp.projectors = _parse_measure(exp.measure_cfg, cover)
     if scenario == "bench" and not exp.bench_cfg.get("sizes"):
         raise _fail("bench.sizes", "is required")
     return exp
@@ -316,6 +358,23 @@ def _defect_record(
     }
 
 
+def _observable_records(
+    exp: Experiment, state: GaugeState, time: float, oracle_psi: np.ndarray | None = None
+) -> list[dict]:
+    """One record per observable; against an oracle wavefunction, a validation with its gap."""
+    records = []
+    for obs in exp.observables:
+        value = state.local_expectation(obs.patch, obs.op)
+        record = dict(type="observable", time=time, id=obs.obs_id, re=value.real, im=value.imag)
+        if oracle_psi is not None:
+            ref_op = embed_operator(obs.op, obs.patch, exp.n_sites)
+            ref_val = complex(np.vdot(oracle_psi, ref_op @ oracle_psi))
+            record.update(type="validation", oracle_re=ref_val.real, oracle_im=ref_val.imag)
+            record["gap"] = abs(value - ref_val)
+        records.append(record)
+    return records
+
+
 # ---------------------------------------------------------------------------
 # Scenarios
 # ---------------------------------------------------------------------------
@@ -327,26 +386,9 @@ def _run_evolve(exp: Experiment, writer: RecordWriter, with_oracle: bool) -> int
     max_gap = 0.0
     for t in exp.times:
         state = evolve(state, exp.hml, t, exp.integrator)
-        oracle_psi = (
-            schrodinger_evolve(exp.hml, exp.psi0, t) if with_oracle else None
-        )
-        for obs in exp.observables:
-            value = state.local_expectation(obs.patch, obs.op)
-            record = {
-                "type": "validation" if with_oracle else "observable",
-                "time": t,
-                "id": obs.obs_id,
-                "re": value.real,
-                "im": value.imag,
-            }
-            if with_oracle:
-                ref_op = embed_operator(obs.op, obs.patch, exp.n_sites)
-                ref_val = complex(np.vdot(oracle_psi, ref_op @ oracle_psi))
-                gap = abs(value - ref_val)
-                record.update(
-                    oracle_re=ref_val.real, oracle_im=ref_val.imag, gap=gap
-                )
-                max_gap = max(max_gap, gap)
+        oracle_psi = schrodinger_evolve(exp.hml, exp.psi0, t) if with_oracle else None
+        for record in _observable_records(exp, state, t, oracle_psi):
+            max_gap = max(max_gap, record.get("gap", 0.0))
             writer.emit(record)
         writer.emit(_defect_record(state, time=t))
     status = "pass" if (not with_oracle or max_gap <= exp.tolerance) else "fail"
@@ -368,11 +410,8 @@ def _run_circuit(exp: Experiment, writer: RecordWriter) -> int:
     circuit = brickwork(exp.n_sites, depth, gate_source=exp.seed)
     state = init_gauge_state(exp.psi0, exp.cover, mode=exp.mode)
     state = run_circuit(state, circuit)
-    audit_patches = [
-        Patch(p) for p in exp.circuit_cfg.get("audit_patches", [])
-    ] or list(exp.cover.patches)
     all_ok = True
-    for patch in audit_patches:
+    for patch in exp.audit_patches or exp.cover.patches:
         audit = audit_lightcone(state, patch, depth, tol=support_tol)
         all_ok = all_ok and audit.ok
         writer.emit(
@@ -390,26 +429,9 @@ def _run_circuit(exp: Experiment, writer: RecordWriter) -> int:
     # cross-check local observables against the exact gate-product reference
     ref = circuit_reference(circuit, exp.cover, exp.psi0)
     max_gap = 0.0
-    for obs in exp.observables:
-        value = state.local_expectation(obs.patch, obs.op)
-        ref_op = embed_operator(obs.op, obs.patch, exp.n_sites)
-        ref_val = complex(
-            np.vdot(ref.psi_schrodinger, ref_op @ ref.psi_schrodinger)
-        )
-        gap = abs(value - ref_val)
-        max_gap = max(max_gap, gap)
-        writer.emit(
-            {
-                "type": "validation",
-                "time": float(depth),
-                "id": obs.obs_id,
-                "re": value.real,
-                "im": value.imag,
-                "oracle_re": ref_val.real,
-                "oracle_im": ref_val.imag,
-                "gap": gap,
-            }
-        )
+    for record in _observable_records(exp, state, float(depth), ref.psi_schrodinger):
+        max_gap = max(max_gap, record["gap"])
+        writer.emit(record)
     writer.emit(
         _defect_record(state, time=float(depth), include_cocycle=exp.n_sites <= 8)
     )
@@ -429,17 +451,8 @@ def _run_circuit(exp: Experiment, writer: RecordWriter) -> int:
 
 def _run_measure(exp: Experiment, writer: RecordWriter) -> int:
     writer.emit(_header_record(exp))
-    site = int(exp.measure_cfg["site"])
-    basis = str(exp.measure_cfg.get("basis", "Z"))
+    ks = exp.projectors
     t = float(exp.measure_cfg.get("time", exp.times[-1] if exp.times else 0.0))
-    host_spec = exp.measure_cfg.get("patch")
-    if host_spec is not None:
-        host = Patch(host_spec)
-        if host not in exp.cover:
-            raise _fail("measure.patch", f"{host} is not a cover patch")
-    else:
-        host = next(p for p in exp.cover.patches if site in p)
-    ks = site_projectors(host, site, basis=basis)
     state = init_gauge_state(exp.psi0, exp.cover, mode=exp.mode, hamiltonian=exp.hml)
     if t > 0:
         state = evolve(state, exp.hml, t, exp.integrator)
@@ -455,26 +468,17 @@ def _run_measure(exp: Experiment, writer: RecordWriter) -> int:
         {
             "type": "measurement",
             "time": t,
-            "patch": list(host.sites),
-            "site": site,
-            "basis": basis,
+            "patch": list(ks.patch.sites),
+            "site": exp.measure_site,
+            "basis": str(exp.measure_cfg.get("basis", "Z")),
             "probabilities": [float(p) for p in probs],
             "probability_gaps": gaps,
             "outcome": record.outcome,
             "outcome_probability": record.probability,
         }
     )
-    for obs in exp.observables:
-        value = state.local_expectation(obs.patch, obs.op)
-        writer.emit(
-            {
-                "type": "observable",
-                "time": t,
-                "id": obs.obs_id,
-                "re": value.real,
-                "im": value.imag,
-            }
-        )
+    for record in _observable_records(exp, state, t):
+        writer.emit(record)
     writer.emit(_defect_record(state, time=t))
     tol = float(exp.measure_cfg.get("tolerance", 1e-8))
     ok = max(gaps) <= tol

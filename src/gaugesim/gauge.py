@@ -26,6 +26,7 @@ place and observable queries are read-only.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import asdict, dataclass, replace as dc_replace
 from typing import Callable, Iterable, Mapping, Sequence
@@ -105,6 +106,7 @@ class GaugeState:
     """
 
     mode: str  # class constant of each mode
+    _fields = ("cover", "time", "steps", "dressing")  # constructor arguments
     frame_stack: np.ndarray | None = None
     base: np.ndarray | None = None
     connections: dict[tuple[int, int], np.ndarray] | None = None
@@ -126,7 +128,7 @@ class GaugeState:
     # -- construction helpers -------------------------------------------
 
     def _replace(self, **kw) -> "GaugeState":
-        return type(self)(**{**vars(self), **kw})
+        return type(self)(**{**{f: getattr(self, f) for f in self._fields}, **kw})
 
     # -- basic queries -----------------------------------------------------
 
@@ -254,6 +256,7 @@ class GeneratorState(GaugeState):
     """
 
     mode = GENERATOR
+    _fields = GaugeState._fields + ("psi", "frame_stack", "base")
 
     def __init__(self, cover, time, steps, psi, frame_stack, base, dressing=None):
         super().__init__(cover, time, steps, psi, dressing)
@@ -281,13 +284,13 @@ class GeneratorState(GaugeState):
         new_steps = self.steps + 1
         dress = [self.dressing_of(p) for p in plan.patches]
         with np.errstate(invalid="ignore", over="ignore"):
-            (frames,) = rk4_step(
-                [self.frame_stack],
+            frames = rk4_step(
+                self.frame_stack,
                 self.time,
                 config.dt,
-                lambda t, y: [_frame_rhs(plan, self.n_sites, dress, t, y[0])],
+                functools.partial(_frame_rhs, plan, self.n_sites, dress),
             )
-        _require_finite([frames], t_next, new_steps)
+        _require_finite(frames, t_next, new_steps)
         if reunitarize:
             frames = _reunitarized(frames, t_next, new_steps)
         psi = frames @ self.base
@@ -340,26 +343,36 @@ class GeneratorState(GaugeState):
 class DirectState(GaugeState):
     """Direct mode: psi_I and the connections of linked pairs, integrated verbatim.
 
-    `connections` maps (i, j), i < j, to the unitary taking patch j's
-    wavefunction to patch i's frame; other pairs chain stored connections
-    along one breadth-first walk.
+    Both live in one (P + C D, D) array, `packed`: rows :P hold psi in cover
+    order, the rest the (C, D, D) connection stack in the sorted order of
+    `keys`; `psi` and `connections` map each patch and key to its view. Key
+    (i, j), i < j, holds the unitary taking patch j's wavefunction to patch
+    i's frame; other pairs chain stored connections along one breadth-first
+    walk.
     """
 
     mode = DIRECT
+    _fields = GaugeState._fields + ("packed", "keys")
 
-    def __init__(self, cover, time, steps, psi, connections, dressing=None):
-        super().__init__(cover, time, steps, psi, dressing)
-        self.connections = connections
+    def __init__(self, cover, time, steps, packed, keys, dressing=None):
+        psi, conns = _unpacked(packed, len(cover))
+        super().__init__(cover, time, steps, dict(zip(cover.patches, psi)), dressing)
+        self.packed = packed
+        self.keys = tuple(keys)
+        self.connections = dict(zip(self.keys, conns))
 
-    def _stored_connection(self, i: int, j: int) -> np.ndarray:
-        c = self.connections[(min(i, j), max(i, j))]
-        return c if i < j else c.conj().T
+    def _blank(self, n_conn: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A fresh array of this layout (with n_conn connections), and its views."""
+        count, dim = len(self.cover), self.dim
+        n_conn = len(self.keys) if n_conn is None else n_conn
+        packed = np.empty((count + n_conn * dim, dim), dtype=np.complex128)
+        return (packed, *_unpacked(packed, count))
 
     def _walk(self, root: int) -> dict[int, int]:
         """Breadth-first parent of each patch reachable from root through stored
         connections, in discovery order; the root is its own parent."""
         graph: dict[int, list[int]] = {i: [] for i in range(len(self.cover))}
-        for i, j in self.connections:
+        for i, j in self.keys:
             graph[i].append(j)
             graph[j].append(i)
         parent = {root: root}
@@ -382,74 +395,82 @@ class DirectState(GaugeState):
         while path[-1] != i:
             path.append(parent[path[-1]])
         path.reverse()
-        out = self._stored_connection(path[0], path[1])
+        out = _oriented(self.connections, path[0], path[1])
         for u, v in zip(path[1:], path[2:]):
-            out = out @ self._stored_connection(u, v)
+            out = out @ _oriented(self.connections, u, v)
         return out
 
     def _consistency_pairs(self) -> Iterable[tuple[int, int]]:
-        return self.connections.keys()
+        return self.keys
 
     def _transport(self, i: int, j: int, vec: np.ndarray) -> np.ndarray:
-        return self._stored_connection(i, j) @ vec
+        return _oriented(self.connections, i, j) @ vec
 
     def _unitarity_matrices(self) -> Iterable[np.ndarray]:
         return self.connections.values()
 
     def _step(self, plan: StepPlan, config: IntegratorConfig, reunitarize: bool) -> "DirectState":
-        patches = plan.patches
-        n = self.n_sites
+        count = len(plan.patches)
         t_next = self.time + config.dt
         new_steps = self.steps + 1
-        dress = [self.dressing_of(p) for p in patches]
-        connections = self.connections
-        missing = [key for key in plan.connection_keys if key not in connections]
-        if missing:
+        dress = [self.dressing_of(p) for p in plan.patches]
+        state = self
+        if not self.connections.keys() >= set(plan.connection_keys):
             if self.steps or self.time:
                 raise ContractError(
                     "direct-mode state lacks connections required by this "
                     "Hamiltonian; initialize with init_gauge_state(..., hamiltonian=...)"
                 )
-            eye = np.eye(self.dim, dtype=np.complex128)
-            connections = {**connections, **{key: eye.copy() for key in missing}}
-        keys = sorted(connections)
-        count = len(patches)
-        pos = {key: count + m for m, key in enumerate(keys)}
+            state = self._with_pairs(plan.connection_keys)
+        keys = state.keys
 
-        def rhs(t: float, y: list[np.ndarray]) -> list[np.ndarray]:
-            def conn(i: int, j: int) -> np.ndarray:
-                c = y[pos[(min(i, j), max(i, j))]]
-                return c if i < j else c.conj().T
+        def rhs(t: float, y: np.ndarray, out: np.ndarray) -> None:
+            psi, conns = _unpacked(y, count)
+            dpsi, dconns = _unpacked(out, count)
+            conn = functools.partial(_oriented, dict(zip(keys, conns)))
+            h_eff = [_neighborhood(plan, self.n_sites, dress, i, t, conn) for i in range(count)]
+            for h, v, dv in zip(h_eff, psi, dpsi):
+                np.matmul(h, v, out=dv)
+                dv *= -1j
+            for (i, j), c, dc in zip(keys, conns, dconns):
+                np.matmul(h_eff[i], c, out=dc)
+                dc *= -1j
+                dc += 1j * (c @ h_eff[j])
 
-            h_eff = [_neighborhood(plan, n, dress, i, t, conn) for i in range(count)]
-            return [-1j * (h @ v) for h, v in zip(h_eff, y[:count])] + [
-                -1j * (h_eff[i] @ c) + 1j * (c @ h_eff[j])
-                for (i, j), c in zip(keys, y[count:])
-            ]
-
-        y = [self.psi[p] for p in patches] + [connections[key] for key in keys]
         with np.errstate(invalid="ignore", over="ignore"):
-            y = rk4_step(y, self.time, config.dt, rhs)
+            y = rk4_step(state.packed, self.time, config.dt, rhs)
         _require_finite(y, t_next, new_steps)
-        psis, conns = y[:count], y[count:]
+        psi, conns = _unpacked(y, count)
         if reunitarize:
-            conns = [_reunitarized(c, t_next, new_steps) for c in conns]
+            conns[...] = _reunitarized(conns, t_next, new_steps)
         if config.renormalize:
-            psis = [v / np.linalg.norm(v) for v in psis]
-        return self._replace(
-            time=t_next,
-            steps=new_steps,
-            psi=dict(zip(patches, psis)),
-            connections=dict(zip(keys, conns)),
-        )
+            for v in psi:
+                v /= np.linalg.norm(v)
+        return state._replace(time=t_next, steps=new_steps, packed=y)
+
+    def _with_pairs(self, keys: Iterable[tuple[int, int]]) -> "DirectState":
+        """This state with an identity connection for each pair in keys it lacks."""
+        keys = tuple(sorted(set(keys).union(self.keys)))
+        packed, psi, conns = self._blank(len(keys))
+        psi[...] = self.packed[: len(self.cover)]
+        eye = np.eye(self.dim, dtype=np.complex128)
+        for key, c in zip(keys, conns):
+            c[...] = self.connections.get(key, eye)
+        return self._replace(packed=packed, keys=keys)
+
+    def _rotated(self, ops: Sequence[np.ndarray | None], **kw) -> "DirectState":
+        """psi_I -> A_I psi_I and U_IJ -> A_I U_IJ A_J^dag; None stands for the identity."""
+        packed, psi, conns = self._blank()
+        for a, v, out in zip(ops, self.psi.values(), psi):
+            out[...] = v if a is None else a @ v
+        for (i, j), c, out in zip(self.keys, self.connections.values(), conns):
+            if ops[j] is not None:
+                c = c @ ops[j].conj().T
+            out[...] = c if ops[i] is None else ops[i] @ c
+        return self._replace(packed=packed, **kw)
 
     def _transformed(self, factors: list[np.ndarray], dressing: dict) -> "DirectState":
-        psi = {p: f @ self.psi[p] for p, f in zip(self.cover.patches, factors)}
-        conns = {
-            (i, j): factors[i] @ c @ factors[j].conj().T
-            for (i, j), c in self.connections.items()
-        }
-        return self._replace(psi=psi, connections=conns, dressing=dressing)
+        return self._rotated(factors, dressing=dressing)
 
     def _layered(self, gates: dict[Patch, np.ndarray]) -> "DirectState":
         # the transported layer unitary per patch
@@ -465,16 +486,7 @@ class DirectState(GaugeState):
                 contrib = _conjugated(g, gp, self.n_sites, c, self.dressing_of(gp))
                 w = contrib if w is None else w @ contrib
             layer_ops.append(w)
-        psi = {
-            p: (self.psi[p] if layer_ops[i] is None else layer_ops[i] @ self.psi[p])
-            for i, p in enumerate(patches)
-        }
-        conns = {}
-        for (i, j), c in self.connections.items():
-            if layer_ops[j] is not None:
-                c = c @ layer_ops[j].conj().T
-            conns[(i, j)] = c if layer_ops[i] is None else layer_ops[i] @ c
-        return self._replace(psi=psi, connections=conns)
+        return self._rotated(layer_ops)
 
     def _collapsed(self, patch: Patch, collapsed: np.ndarray) -> "DirectState":
         # transport along the walk's tree edges keeps the consistency identity exact
@@ -487,10 +499,23 @@ class DirectState(GaugeState):
                 + ", ".join(unreachable)
                 + " (no stored connection path)"
             )
-        psi = {}
+        packed, psi, conns = self._blank()
+        conns[...] = _unpacked(self.packed, len(patches))[1]
         for v, u in parent.items():
-            psi[patches[v]] = collapsed if v == u else self._transport(v, u, psi[patches[u]])
-        return self._replace(psi=psi)
+            psi[v] = collapsed if v == u else self._transport(v, u, psi[u])
+        return self._replace(packed=packed)
+
+
+def _unpacked(packed: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The psi rows and the (C, D, D) connection stack of a direct-mode array, as views."""
+    dim = packed.shape[1]
+    return packed[:count], packed[count:].reshape(-1, dim, dim)
+
+
+def _oriented(stored: Mapping[tuple[int, int], np.ndarray], i: int, j: int) -> np.ndarray:
+    """The connection from patch j to patch i, given those stored under (i, j), i < j."""
+    c = stored[(min(i, j), max(i, j))]
+    return c if i < j else c.conj().T
 
 
 # ---------------------------------------------------------------------------
@@ -520,13 +545,13 @@ def init_gauge_state(
         raise ContractError(f"psi0 must be normalized, got norm {norm!r}")
     if mode not in MODES:
         raise ContractError(f"unknown mode {mode!r}")
-    psi = dict(zip(cover.patches, np.repeat(psi0[None, :], len(cover), axis=0)))
-    eye = np.eye(cover.dim, dtype=np.complex128)
-    if mode == GENERATOR:
-        frames = np.repeat(eye[None], len(cover), axis=0)
-        return GeneratorState(cover, 0.0, 0, psi, frame_stack=frames, base=psi0.copy())
-    conns = {key: eye.copy() for key in sorted(required_pairs(cover, hamiltonian))}
-    return DirectState(cover, 0.0, 0, psi, connections=conns)
+    psi = np.repeat(psi0[None, :], len(cover), axis=0)
+    if mode == DIRECT:
+        bare = DirectState(cover, 0.0, 0, packed=psi, keys=())
+        return bare._with_pairs(required_pairs(cover, hamiltonian))
+    frames = np.repeat(np.eye(cover.dim, dtype=np.complex128)[None], len(cover), axis=0)
+    psi = dict(zip(cover.patches, psi))
+    return GeneratorState(cover, 0.0, 0, psi, frame_stack=frames, base=psi0.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -605,9 +630,9 @@ def effective_hamiltonian(
 
 
 def _frame_rhs(
-    plan: StepPlan, n: int, dress: Sequence[np.ndarray | None], t: float, frames: np.ndarray
-) -> np.ndarray:
-    """dU/dt for the (P, D, D) frame stack: dU_I = -i U_I R_I, where
+    plan: StepPlan, n: int, dress: Sequence, t: float, frames: np.ndarray, dframes: np.ndarray
+) -> None:
+    """Write dU/dt for the (P, D, D) frame stack into dframes: dU_I = -i U_I R_I, where
 
     R_I = sum_(carriers J ov I) V_J^dag h_J V_J
         + sum_(products ov I) h prod_k V_K^dag tau_k V_K,
@@ -633,7 +658,6 @@ def _frame_rhs(
             w = v.conj().T @ apply_local(fac, patches[j], n, v)
             prod = w if prod is None else prod @ w
         products.append(plan.gen_terms[g].coeff(t) * prod)
-    dframes = np.empty_like(frames)
     for i in range(len(patches)):
         r = None
         for k in plan.local_nbr[i]:
@@ -645,16 +669,14 @@ def _frame_rhs(
         else:
             np.matmul(frames[i], r, out=dframes[i])
             dframes[i] *= -1j  # while the product is still in cache
-    return dframes
 
 
-def _require_finite(arrays: Iterable[np.ndarray], time: float, steps: int) -> None:
-    for a in arrays:
-        if not np.all(np.isfinite(a)):
-            raise DivergenceError(
-                f"integration diverged (non-finite values at t={time:.6g}, "
-                f"step {steps}); reduce dt"
-            )
+def _require_finite(a: np.ndarray, time: float, steps: int) -> None:
+    if not np.all(np.isfinite(a)):
+        raise DivergenceError(
+            f"integration diverged (non-finite values at t={time:.6g}, "
+            f"step {steps}); reduce dt"
+        )
 
 
 def step(

@@ -1,50 +1,38 @@
-"""Fixed-step RK4 on lists of complex arrays."""
+"""Fixed-step RK4 on one complex array, and the step grid it walks."""
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .errors import ContractError
 
-Deriv = Callable[[float, list[np.ndarray]], list[np.ndarray]]
+Deriv = Callable[[float, np.ndarray, np.ndarray], None]
 
 
-def rk4_step(y: Sequence[np.ndarray], t: float, dt: float, deriv: Deriv) -> list[np.ndarray]:
-    """One classical Runge-Kutta step for y' = deriv(t, y).
+def rk4_step(y: np.ndarray, t: float, dt: float, deriv: Deriv) -> np.ndarray:
+    """One classical Runge-Kutta step for y' = f(t, y); returns a fresh array.
 
-    The slopes are summed in place as k1 + 2 k2 + 2 k3 + k4, in that order,
-    and each is dropped once used: while `deriv` runs, only y, the running
-    sum and the stage input are held here.
+    `deriv(t, y, out)` writes f(t, y) into `out` and must overwrite every
+    element. The step works in one (3,) + y.shape scratch block holding the
+    running sum, the stage input and the slope, and sums the slopes in place
+    as k1 + 2 k2 + 2 k3 + k4, in that order. `y` is never written.
     """
-    y = list(y)
-    k1 = deriv(t, y)
-    k2 = deriv(t + 0.5 * dt, _shifted(y, 0.5 * dt, k1))
-    acc = [2.0 * b for b in k2]
-    for s, b in zip(acc, k1):
-        s += b
-    del k1
-    stage = _shifted(y, 0.5 * dt, k2)
-    del k2
-    k3 = deriv(t + 0.5 * dt, stage)
-    for s, b in zip(acc, k3):
-        s += 2.0 * b
-    stage = _shifted(y, dt, k3)
-    del k3
-    k4 = deriv(t + dt, stage)
-    del stage
-    for s, b in zip(acc, k4):
-        s += b
-    del k4
-    return _shifted(y, dt / 6.0, acc)
-
-
-def _shifted(y: list[np.ndarray], h: float, k: list[np.ndarray]) -> list[np.ndarray]:
-    """[a + h * b for a, b in zip(y, k)], with one temporary per array."""
-    out = [h * b for b in k]
-    for s, a in zip(out, y):
-        s += a
+    acc, stage, k = np.empty((3,) + y.shape, dtype=y.dtype)
+    deriv(t, y, k)
+    np.copyto(acc, k)
+    stages = ((0.5 * dt, t + 0.5 * dt), (0.5 * dt, t + 0.5 * dt), (dt, t + dt))
+    for m, (h, t_stage) in enumerate(stages):
+        np.multiply(k, h, out=stage)  # y + h k from the slope just computed
+        stage += y
+        if m:  # k2 and k3 enter the sum twice
+            k *= 2.0
+            acc += k
+        deriv(t_stage, stage, k)
+    acc += k
+    out = (dt / 6.0) * acc
+    out += y
     return out
 
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import ContractError
 from .gauge import GaugeState
+from .hamiltonian import pauli_on
 from .lattice import Patch, apply_local
 from .linalg import as_operator
 
@@ -156,16 +157,6 @@ def site_projectors(patch: Patch, site: int, basis: str = "Z") -> KrausSet:
         raise ContractError(f"site {site} is not in {patch}")
     if basis not in PAULI_BASES:
         raise ContractError(f"basis must be one of {PAULI_BASES}, got {basis!r}")
-    if basis == "Z":
-        p0 = np.array([[1, 0], [0, 0]], dtype=np.complex128)
-        p1 = np.array([[0, 0], [0, 1]], dtype=np.complex128)
-    else:
-        p0 = 0.5 * np.array([[1, 1], [1, 1]], dtype=np.complex128)
-        p1 = 0.5 * np.array([[1, -1], [-1, 1]], dtype=np.complex128)
-    ops = []
-    for proj in (p0, p1):
-        op = np.ones((1, 1), dtype=np.complex128)
-        for s in reversed(patch.sites):
-            op = np.kron(op, proj if s == site else np.eye(2))
-        ops.append(op)
-    return KrausSet(patch, ops)
+    eye = np.eye(patch.dim, dtype=np.complex128)
+    sigma = pauli_on(basis, [site], patch)
+    return KrausSet(patch, [0.5 * (eye + sigma), 0.5 * (eye - sigma)])

@@ -84,20 +84,23 @@ def global_propagator(hml: LocalHamiltonian, t: float, dt: float | None = None) 
     if not hml.is_time_dependent:
         evals, vecs = hml.spectrum()
         return (vecs * _phases(evals, t)) @ vecs.conj().T
-    u = np.eye(hml.cover.dim, dtype=np.complex128)
-    (u,) = _integrate_generated([u], [lambda tau: hml.total(tau)], t, dt)
-    return u
+    eye = np.eye(hml.cover.dim, dtype=np.complex128)
+    return _integrate_generated([eye], [hml.total], t, dt)[0]
 
 
-def _integrate_generated(mats, generators, t_end, dt):
-    """Integrate d/dt M_k = -i G_k(t) M_k from 0 to t_end with RK4."""
+def _integrate_generated(mats, generators, t_end, dt) -> np.ndarray:
+    """d/dt M_k = -i G_k(t) M_k from 0 to t_end with RK4, on the stack of the M_k.
+
+    Each M_k is a matrix or a vector; the result is np.stack of the M_k(t_end).
+    """
     dt = DEFAULT_REFERENCE_DT if dt is None else float(dt)
 
-    def deriv(tau, ys):
-        return [-1j * gen(tau) @ y for gen, y in zip(generators, ys)]
+    def deriv(tau, ys, out):
+        for gen, y, o in zip(generators, ys, out):
+            np.matmul(-1j * gen(tau), y, out=o)
 
     t = 0.0
-    ys = list(mats)
+    ys = np.stack(mats)
     for h in time_grid(0.0, t_end, dt):
         ys = rk4_step(ys, t, h, deriv)
         t += h
@@ -116,17 +119,7 @@ def schrodinger_evolve(
     if not hml.is_time_dependent:
         evals, vecs = hml.spectrum()
         return vecs @ (_phases(evals, t) * (psi0.conj() @ vecs).conj())
-    dt = DEFAULT_REFERENCE_DT if dt is None else float(dt)
-
-    def deriv(tau, ys):
-        return [-1j * (hml.total(tau) @ ys[0])]
-
-    psi = psi0.copy()
-    clock = 0.0
-    for h in time_grid(0.0, t, dt):
-        (psi,) = rk4_step([psi], clock, h, deriv)
-        clock += h
-    return psi
+    return _integrate_generated([psi0], [hml.total], t, dt)[0]
 
 
 def reference_gauge_state(
@@ -152,7 +145,7 @@ def reference_gauge_state(
     else:
         dim = cover.dim
         eye = np.eye(dim, dtype=np.complex128)
-        mats = [eye.copy() for _ in range(len(patches) + 1)]
+        mats = [eye] * (len(patches) + 1)
         gens = [lambda tau: hml.total(tau)]
         for p in patches:
             gens.append(

@@ -185,6 +185,32 @@ class TestScenarios:
         for record in records:
             jsonschema.validate(record, SCHEMA)
 
+    @pytest.mark.parametrize(
+        "scenario, section, field",
+        [
+            ("measure", {"measure": {"site": "a"}}, "measure.site"),
+            ("measure", {"measure": {"site": 7}}, "measure.site"),  # in no patch
+            ("measure", {"measure": {"site": 0, "patch": [1, 2]}}, "measure.site"),
+            ("measure", {"measure": {"site": 1, "patch": [0, 2]}}, "measure.patch"),
+            ("measure", {"measure": {"site": 1, "basis": "Y"}}, "measure.basis"),
+            ("circuit", {"circuit": {"depth": "x"}}, "circuit.depth"),
+            ("circuit", {"circuit": {"depth": 1, "audit_patches": [[1, 2], [0, 2]]}},
+             "circuit.audit_patches[1]"),
+        ],
+    )
+    def test_bad_scenario_field_is_a_config_error(
+        self, tmp_path, monkeypatch, capsys, scenario, section, field
+    ):
+        import gaugesim.cli as cli_module
+
+        def no_state(*args, **kwargs):
+            raise AssertionError("a state was built before the config was checked")
+
+        monkeypatch.setattr(cli_module, "init_gauge_state", no_state)
+        cfg = write_config(tmp_path, base_config(scenario=scenario, **section))
+        assert main([scenario, "--config", str(cfg)]) == EXIT_CONFIG
+        assert f"config error: config field '{field}'" in capsys.readouterr().err
+
     def test_measure_scenario_sweeps_once(self, tmp_path, monkeypatch):
         import gaugesim.measure as measure_module
 

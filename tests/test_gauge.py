@@ -24,6 +24,7 @@ from gaugesim.gauge import (
     required_pairs,
     step,
 )
+from gaugesim.integrate import rk4_step
 from gaugesim.hamiltonian import (
     GeneralizedTerm,
     LocalHamiltonian,
@@ -719,20 +720,78 @@ class TestModeClasses:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_public_functions_return_the_input_class(self, mode):
+        """... and leave their input state as it was."""
         from gaugesim.measure import apply_measurement, site_projectors
 
         h = tfim_chain(4, 1.0, 1.0)
         state = init_gauge_state(plus_state(4), h.cover, mode=mode, hamiltonian=h)
         rng = np.random.default_rng(4)
-        outs = [step(state, h, CFG)]
         frame_change = GaugeTransform({Patch((1, 2)): random_unitary(4, rng)})
-        outs.append(gauge_transform(outs[-1], frame_change))
-        outs.append(apply_commuting_layer(outs[-1], {Patch((0, 1)): random_unitary(4, rng)}))
-        outs.append(apply_measurement(outs[-1], site_projectors(Patch((2, 3)), 3), outcome=0)[0])
-        for out in outs:
+        layer = {Patch((0, 1)): random_unitary(4, rng)}
+        calls = [
+            lambda s: step(s, h, IntegratorConfig(dt=1e-3, reunitarize_every=1, renormalize=True)),
+            lambda s: gauge_transform(s, frame_change),
+            lambda s: apply_commuting_layer(s, layer),
+            lambda s: apply_measurement(s, site_projectors(Patch((2, 3)), 3), outcome=0)[0],
+        ]
+        for call in calls:
+            arrays = [*state.psi.values(), *(state.connections or {}).values()]
+            arrays += [a for a in (state.frame_stack, state.base) if a is not None]
+            before = [a.copy() for a in arrays]
+            out = call(state)
+            assert all(np.array_equal(a, b) for a, b in zip(arrays, before))
             assert type(out) is type(state)
             assert out.mode == mode
             assert out.diagnostics(include_cocycle=False).consistency < 1e-10
+            state = out
+
+    def test_direct_state_is_one_packed_array(self):
+        h = tfim_chain(4, 1.0, 1.0)
+        state = init_gauge_state(plus_state(4), h.cover, mode=DIRECT, hamiltonian=h)
+        state = step(state, h, CFG)
+        count, dim = len(h.cover), h.cover.dim
+        assert state.keys == tuple(sorted(state.connections))
+        assert state.packed.shape == (count + len(state.keys) * dim, dim)
+        for i, p in enumerate(h.cover.patches):
+            assert np.shares_memory(state.psi[p], state.packed[i])
+        for m, key in enumerate(state.keys):
+            rows = state.packed[count + m * dim : count + (m + 1) * dim]
+            assert np.shares_memory(state.connections[key], rows)
+            assert np.array_equal(state.connections[key], rows)
+        moved = state._replace(time=1.0)
+        assert moved.packed is state.packed and moved.keys == state.keys
+
+
+class TestRK4Step:
+    def test_textbook_order_on_one_array(self):
+        rng = np.random.default_rng(12)
+        a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        y = rng.standard_normal((2, 8, 8)) + 1j * rng.standard_normal((2, 8, 8))
+        y_before = y.copy()
+        dt = 0.037
+
+        def deriv(t, y, out):
+            np.matmul(a, y, out=out)
+
+        got = rk4_step(y, 0.0, dt, deriv)
+        k1 = a @ y
+        k2 = a @ (y + dt / 2 * k1)
+        k3 = a @ (y + dt / 2 * k2)
+        k4 = a @ (y + dt * k3)
+        assert np.array_equal(got, y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4))
+        assert np.array_equal(y, y_before)
+        assert not np.shares_memory(got, y)
+        assert got.base is None  # owns its data: no state can pin the scratch block
+
+    def test_stage_times(self):
+        seen = []
+
+        def deriv(t, y, out):
+            seen.append(t)
+            out[...] = 0.0
+
+        rk4_step(np.zeros(3, dtype=np.complex128), 1.0, 0.5, deriv)
+        assert seen == [1.0, 1.25, 1.25, 1.5]
 
 
 class TestReunitarizationFailure:

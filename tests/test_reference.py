@@ -104,6 +104,14 @@ class TestSchrodingerEvolve:
         ratio = np.linalg.norm(psi_a - psi_b) / np.linalg.norm(psi_b - psi_c)
         assert 12.0 < ratio < 20.0  # 4th-order: halving dt shrinks the error 16x
 
+    def test_time_dependent_state_and_propagator_share_one_integration(self):
+        # RK4 is linear in y, so integrating psi0 or the identity gives the same psi(t)
+        h = driven_tfim(3, lambda t: 1.0 + 0.5 * np.sin(2.0 * t))
+        psi0 = random_state(8, np.random.default_rng(2))
+        for t in (0.0, 0.013, 0.3):
+            psi = schrodinger_evolve(h, psi0, t, dt=1e-3)
+            assert np.linalg.norm(psi - global_propagator(h, t, dt=1e-3) @ psi0) < 1e-13
+
 
 class TestReferenceGaugeState:
     def test_single_patch_cover_is_schrodinger(self):
