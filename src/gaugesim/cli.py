@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, DivergenceError, GaugeSimError
 from .gauge import (
+    DIRECT,
     GENERATOR,
     MODES,
     GaugeState,
@@ -91,12 +92,17 @@ class Experiment:
     out_path: str | None
     out_format: str
     hash: str = ""
-    circuit_cfg: dict = field(default_factory=dict)
+    circuit_depth: int = 0
+    circuit_tolerance: float = 1e-8
+    circuit_support_tol: float = 1e-12
     audit_patches: list[Patch] = field(default_factory=list)
-    measure_cfg: dict = field(default_factory=dict)
     measure_site: int = 0
+    measure_basis: str = "Z"
+    measure_time: float = 0.0
+    measure_tolerance: float = 1e-8
     projectors: KrausSet | None = None
-    bench_cfg: dict = field(default_factory=dict)
+    bench_sizes: list[int] = field(default_factory=list)
+    bench_steps: int = 20
 
 
 def _fail(path: str, message: str) -> ConfigError:
@@ -110,6 +116,16 @@ def _integer(value, path: str) -> int:
         raise _fail(path, f"must be an integer, got {value!r}") from None
 
 
+def _number(value, path: str) -> float:
+    try:
+        number = float(value)
+        if np.isfinite(number):
+            return number
+    except (TypeError, ValueError):
+        pass
+    raise _fail(path, f"must be a finite number, got {value!r}")
+
+
 def _cover_patch(spec, cover: PatchCover, path: str) -> Patch:
     try:
         patch = Patch(spec)
@@ -120,8 +136,8 @@ def _cover_patch(spec, cover: PatchCover, path: str) -> Patch:
     return patch
 
 
-def _parse_measure(spec: dict, cover: PatchCover) -> tuple[int, KrausSet]:
-    """The measured site and its projectors, from the `measure` object."""
+def _parse_measure(spec: dict, cover: PatchCover) -> tuple[int, str, KrausSet]:
+    """The measured site, its basis and its projectors, from the `measure` object."""
     if "site" not in spec:
         raise _fail("measure.site", "is required")
     site = _integer(spec["site"], "measure.site")
@@ -136,7 +152,7 @@ def _parse_measure(spec: dict, cover: PatchCover) -> tuple[int, KrausSet]:
     basis = str(spec.get("basis", "Z"))
     if basis not in PAULI_BASES:
         raise _fail("measure.basis", f"must be one of {list(PAULI_BASES)}, got {basis!r}")
-    return site, site_projectors(host, site, basis=basis)
+    return site, basis, site_projectors(host, site, basis=basis)
 
 
 def _initial_state(spec, n: int) -> np.ndarray:
@@ -228,18 +244,28 @@ def parse_config(raw: dict, overrides: dict | None = None) -> Experiment:
     mode = integ.pop("mode", GENERATOR)
     if mode not in MODES:
         raise _fail("integrator.mode", f"must be {'|'.join(MODES)}, got {mode!r}")
+    if mode == DIRECT and scenario == "circuit":
+        raise _fail("integrator.mode", "a circuit's light-cone audits need generator mode")
+    renormalize = integ.pop("renormalize", False)
+    if not isinstance(renormalize, bool):
+        raise _fail("integrator.renormalize", f"must be true or false, got {renormalize!r}")
     try:
         integrator = IntegratorConfig(
-            dt=float(integ.pop("dt", 1e-3)),
-            reunitarize_every=int(integ.pop("reunitarize_every", 100)),
-            renormalize=bool(integ.pop("renormalize", False)),
+            dt=_number(integ.pop("dt", 1e-3), "integrator.dt"),
+            reunitarize_every=_integer(
+                integ.pop("reunitarize_every", 100), "integrator.reunitarize_every"
+            ),
+            renormalize=renormalize,
         )
     except ContractError as exc:
         raise _fail("integrator", str(exc)) from None
     if integ:
         raise _fail("integrator", f"unknown keys {sorted(integ)}")
 
-    times = [float(t) for t in cfg.get("times", [])]
+    times = cfg.get("times", [])
+    if not isinstance(times, list):
+        raise _fail("times", f"must be a list of numbers, got {times!r}")
+    times = [_number(t, "times") for t in times]
     if times != sorted(times):
         raise _fail("times", "must be sorted ascending")
     if any(t < 0 for t in times):
@@ -266,13 +292,10 @@ def parse_config(raw: dict, overrides: dict | None = None) -> Experiment:
         integrator=integrator,
         observables=observables,
         times=times,
-        seed=int(cfg.get("seed", 0)),
-        tolerance=float(cfg.get("tolerance", 1e-6)),
+        seed=_integer(cfg.get("seed", 0), "seed"),
+        tolerance=_number(cfg.get("tolerance", 1e-6), "tolerance"),
         out_path=out_cfg.get("path"),
         out_format=out_format,
-        circuit_cfg=dict(cfg.get("circuit") or {}),
-        measure_cfg=dict(cfg.get("measure") or {}),
-        bench_cfg=dict(cfg.get("bench") or {}),
     )
     exp.hash = config_hash(cfg)
 
@@ -281,16 +304,32 @@ def parse_config(raw: dict, overrides: dict | None = None) -> Experiment:
     if scenario in ("evolve", "validate") and not observables:
         raise _fail("observables", f"scenario {scenario!r} needs observables")
     if scenario == "circuit":
-        if _integer(exp.circuit_cfg.get("depth", 0), "circuit.depth") < 1:
+        spec = dict(cfg.get("circuit") or {})
+        exp.circuit_depth = _integer(spec.get("depth", 0), "circuit.depth")
+        if exp.circuit_depth < 1:
             raise _fail("circuit.depth", "must be >= 1")
         exp.audit_patches = [
-            _cover_patch(spec, cover, f"circuit.audit_patches[{idx}]")
-            for idx, spec in enumerate(exp.circuit_cfg.get("audit_patches", []))
+            _cover_patch(patch, cover, f"circuit.audit_patches[{idx}]")
+            for idx, patch in enumerate(spec.get("audit_patches", []))
         ]
+        exp.circuit_tolerance = _number(spec.get("tolerance", 1e-8), "circuit.tolerance")
+        exp.circuit_support_tol = _number(
+            spec.get("support_tol", 1e-12), "circuit.support_tol"
+        )
     if scenario == "measure":
-        exp.measure_site, exp.projectors = _parse_measure(exp.measure_cfg, cover)
-    if scenario == "bench" and not exp.bench_cfg.get("sizes"):
-        raise _fail("bench.sizes", "is required")
+        spec = dict(cfg.get("measure") or {})
+        exp.measure_site, exp.measure_basis, exp.projectors = _parse_measure(spec, cover)
+        exp.measure_time = _number(
+            spec.get("time", times[-1] if times else 0.0), "measure.time"
+        )
+        exp.measure_tolerance = _number(spec.get("tolerance", 1e-8), "measure.tolerance")
+    if scenario == "bench":
+        spec = dict(cfg.get("bench") or {})
+        sizes = spec.get("sizes")
+        if not isinstance(sizes, list) or not sizes:
+            raise _fail("bench.sizes", f"must be a nonempty list of sizes, got {sizes!r}")
+        exp.bench_sizes = [_integer(n, "bench.sizes") for n in sizes]
+        exp.bench_steps = _integer(spec.get("steps", 20), "bench.steps")
     return exp
 
 
@@ -405,14 +444,13 @@ def _run_evolve(exp: Experiment, writer: RecordWriter, with_oracle: bool) -> int
 
 def _run_circuit(exp: Experiment, writer: RecordWriter) -> int:
     writer.emit(_header_record(exp))
-    depth = int(exp.circuit_cfg.get("depth"))
-    support_tol = float(exp.circuit_cfg.get("support_tol", 1e-12))
+    depth = exp.circuit_depth
     circuit = brickwork(exp.n_sites, depth, gate_source=exp.seed)
     state = init_gauge_state(exp.psi0, exp.cover, mode=exp.mode)
     state = run_circuit(state, circuit)
     all_ok = True
     for patch in exp.audit_patches or exp.cover.patches:
-        audit = audit_lightcone(state, patch, depth, tol=support_tol)
+        audit = audit_lightcone(state, patch, depth, tol=exp.circuit_support_tol)
         all_ok = all_ok and audit.ok
         writer.emit(
             {
@@ -435,7 +473,7 @@ def _run_circuit(exp: Experiment, writer: RecordWriter) -> int:
     writer.emit(
         _defect_record(state, time=float(depth), include_cocycle=exp.n_sites <= 8)
     )
-    tol = float(exp.circuit_cfg.get("tolerance", 1e-8))
+    tol = exp.circuit_tolerance
     ok = all_ok and max_gap <= tol
     writer.emit(
         {
@@ -452,7 +490,7 @@ def _run_circuit(exp: Experiment, writer: RecordWriter) -> int:
 def _run_measure(exp: Experiment, writer: RecordWriter) -> int:
     writer.emit(_header_record(exp))
     ks = exp.projectors
-    t = float(exp.measure_cfg.get("time", exp.times[-1] if exp.times else 0.0))
+    t = exp.measure_time
     state = init_gauge_state(exp.psi0, exp.cover, mode=exp.mode, hamiltonian=exp.hml)
     if t > 0:
         state = evolve(state, exp.hml, t, exp.integrator)
@@ -470,7 +508,7 @@ def _run_measure(exp: Experiment, writer: RecordWriter) -> int:
             "time": t,
             "patch": list(ks.patch.sites),
             "site": exp.measure_site,
-            "basis": str(exp.measure_cfg.get("basis", "Z")),
+            "basis": exp.measure_basis,
             "probabilities": [float(p) for p in probs],
             "probability_gaps": gaps,
             "outcome": record.outcome,
@@ -480,7 +518,7 @@ def _run_measure(exp: Experiment, writer: RecordWriter) -> int:
     for record in _observable_records(exp, state, t):
         writer.emit(record)
     writer.emit(_defect_record(state, time=t))
-    tol = float(exp.measure_cfg.get("tolerance", 1e-8))
+    tol = exp.measure_tolerance
     ok = max(gaps) <= tol
     writer.emit(
         {
@@ -494,11 +532,10 @@ def _run_measure(exp: Experiment, writer: RecordWriter) -> int:
 
 
 def _run_bench(exp: Experiment) -> int:
-    sizes = [int(n) for n in exp.bench_cfg["sizes"]]
-    steps = int(exp.bench_cfg.get("steps", 20))
+    steps = exp.bench_steps
     model = exp.raw["model"]
     rows = [("n", "mode", "steps", "seconds_per_step", "oracle_seconds")]
-    for n in sizes:
+    for n in exp.bench_sizes:
         hml = build_model(model["name"], n, model.get("params"))
         psi0 = _initial_state(exp.raw.get("initial_state"), n)
         t_end = steps * exp.integrator.dt

@@ -578,24 +578,21 @@ def _neighborhood(
     t: float,
     conn: Callable[[int, int], np.ndarray],
 ) -> np.ndarray:
-    """Terms touching patch i at time t, transported into its frame.
+    """Products touching patch i at time t, transported into its frame.
 
-    `conn(i, j)` is the connection from patch j to patch i (j != i); a term
-    carried by patch j enters as c @ D_j h_j D_j^dag @ c^dag.
+    `conn(i, j)` is the connection from patch j to patch i (j != i); a factor
+    placed on patch j enters as c @ D_j f D_j^dag @ c^dag.
     """
     patches = plan.patches
     out = np.zeros((2**n, 2**n), dtype=np.complex128)
-    for k in plan.local_nbr[i]:
-        j = plan.carriers[k]
-        c = None if j == i else conn(i, j)
-        out += _conjugated(plan.local_op(k, t), patches[j], n, c, dress[j])
-    for g in plan.gen_nbr[i]:
+    for k in plan.touching[i]:
         prod = None
-        for j, fac in plan.gen_places[g]:
+        for j, fac in plan.products[k]:
             c = None if j == i else conn(i, j)
             w = _conjugated(fac, patches[j], n, c, dress[j])
             prod = w if prod is None else prod @ w
-        out += plan.gen_terms[g].coeff(t) * prod
+        coef = plan.coefficients[k]
+        out += prod if coef is None else coef(t) * prod
     return out
 
 
@@ -634,10 +631,10 @@ def _frame_rhs(
 ) -> None:
     """Write dU/dt for the (P, D, D) frame stack into dframes: dU_I = -i U_I R_I, where
 
-    R_I = sum_(carriers J ov I) V_J^dag h_J V_J
-        + sum_(products ov I) h prod_k V_K^dag tau_k V_K,
+    R_I = sum_(products k touching I) c_k(t) prod_(J, f) V_J^dag f V_J
 
-    with V_J = D_J^dag U_J. The sandwiches are shared by all target patches.
+    over the plan's placed factors (J, f) of each product, with V_J = D_J^dag U_J.
+    Each product is formed once and shared by all patches it touches.
     """
     views = frames
     if any(d is not None for d in dress):
@@ -646,24 +643,18 @@ def _frame_rhs(
             if d is not None:
                 views[i] = d.conj().T @ frames[i]
     patches = plan.patches
-    sandwiches = []
-    for k, j in enumerate(plan.carriers):
-        v = views[j]
-        sandwiches.append(v.conj().T @ apply_local(plan.local_op(k, t), patches[j], n, v))
     products = []
-    for g, placed in enumerate(plan.gen_places):
+    for placed, coef in zip(plan.products, plan.coefficients):
         prod = None
         for j, fac in placed:
             v = views[j]
             w = v.conj().T @ apply_local(fac, patches[j], n, v)
             prod = w if prod is None else prod @ w
-        products.append(plan.gen_terms[g].coeff(t) * prod)
-    for i in range(len(patches)):
+        products.append(prod if coef is None else coef(t) * prod)
+    for i, near in enumerate(plan.touching):
         r = None
-        for k in plan.local_nbr[i]:
-            r = sandwiches[k] if r is None else r + sandwiches[k]
-        for g in plan.gen_nbr[i]:
-            r = products[g] if r is None else r + products[g]
+        for k in near:
+            r = products[k] if r is None else r + products[k]
         if r is None:
             dframes[i] = 0.0
         else:

@@ -111,79 +111,62 @@ class GeneralizedTerm:
 
 @dataclass(frozen=True)
 class StepPlan:
-    """Which Hamiltonian terms touch which patch, for one (Hamiltonian, cover).
+    """The Hamiltonian as one list of placed products, for one (Hamiltonian, cover).
 
     Built once per pair by `LocalHamiltonian.step_plan` and read by every
     evaluation of the equations of motion. Patch indices follow `patches`,
-    the cover's order; plain terms are grouped by the patch carrying them
-    ("carriers", in order of first appearance).
+    the cover's order. Product k is coefficients[k](t) times the ordered
+    product of its (patch index, factor) pairs; a coefficient of None is a
+    constant 1. The products are, in order: the summed static plain terms of
+    each carrying patch (in order of first appearance), each time-dependent
+    plain term, then the generalized terms.
     """
 
     patches: tuple[Patch, ...]
-    carriers: tuple[int, ...]
-    carrier_terms: tuple[tuple[LocalTerm, ...], ...]
-    static_ops: tuple[np.ndarray | None, ...]  # summed op per carrier; None if time-dependent
-    local_nbr: tuple[tuple[int, ...], ...]  # per patch: positions of the carriers overlapping it
-    gen_terms: tuple[GeneralizedTerm, ...]
-    gen_places: tuple[tuple[tuple[int, np.ndarray], ...], ...]  # per term: (patch index, factor)
-    gen_nbr: tuple[tuple[int, ...], ...]  # per patch: generalized terms touching its sites
+    products: tuple[tuple[tuple[int, np.ndarray], ...], ...]
+    coefficients: tuple[Coefficient | None, ...]
+    touching: tuple[tuple[int, ...], ...]  # per patch: products with a factor on its sites
     connection_keys: tuple[tuple[int, int], ...]  # sorted pairs the direct mode stores
 
     @classmethod
     def build(cls, hml: "LocalHamiltonian", cover: PatchCover) -> "StepPlan":
-        patches = cover.patches
-        grouped: dict[int, list[LocalTerm]] = {}
+        static: dict[int, list[np.ndarray]] = {}
+        products, coefficients = [], []
         for term in hml.terms:
-            grouped.setdefault(cover.index(term.patch), []).append(term)
-        carriers = tuple(grouped)
-        carrier_terms = tuple(tuple(grouped[j]) for j in carriers)
-        static_ops = tuple(
-            np.asarray(sum(t.op for t in terms), dtype=np.complex128)
-            if all(t.time_dependence is None for t in terms)
-            else None
-            for terms in carrier_terms
-        )
-        gen_places = tuple(
-            tuple((cover.index(p), f) for p, f in zip(gt.patches, gt.factors))
-            for gt in hml.gen_terms
-        )
-        gen_nbr = tuple(
+            j = cover.index(term.patch)
+            if term.time_dependence is None:
+                static.setdefault(j, []).append(term.op)
+            else:
+                products.append(((j, term.op),))
+                coefficients.append(term.coefficient)
+        summed = [
+            ((j, np.asarray(sum(ops), dtype=np.complex128)),) for j, ops in static.items()
+        ]
+        products = summed + products
+        coefficients = [None] * len(summed) + coefficients
+        for gt in hml.gen_terms:
+            products.append(tuple((cover.index(p), f) for p, f in zip(gt.patches, gt.factors)))
+            coefficients.append(gt.coeff)
+        patches = cover.patches
+        touching = tuple(
             tuple(
-                g
-                for g, gt in enumerate(hml.gen_terms)
-                if gt.union_sites & set(p.sites)
+                k
+                for k, placed in enumerate(products)
+                if any(patches[j].overlaps(p) for j, _ in placed)
             )
             for p in patches
         )
         keys = set(cover.overlap_pairs())
-        for i, touching in enumerate(gen_nbr):
-            for g in touching:
-                keys.update((min(i, j), max(i, j)) for j, _ in gen_places[g] if j != i)
+        for i, near in enumerate(touching):
+            for k in near:
+                keys.update((min(i, j), max(i, j)) for j, _ in products[k] if j != i)
         return cls(
             patches=patches,
-            carriers=carriers,
-            carrier_terms=carrier_terms,
-            static_ops=static_ops,
-            local_nbr=tuple(
-                tuple(k for k, j in enumerate(carriers) if patches[j].overlaps(p))
-                for p in patches
-            ),
-            gen_terms=hml.gen_terms,
-            gen_places=gen_places,
-            gen_nbr=gen_nbr,
+            products=tuple(products),
+            coefficients=tuple(coefficients),
+            touching=touching,
             connection_keys=tuple(sorted(keys)),
         )
-
-    def local_op(self, k: int, t: float) -> np.ndarray:
-        """Summed patch-local operator of carrier k at time t."""
-        static = self.static_ops[k]
-        if static is not None:
-            return static
-        acc = None
-        for term in self.carrier_terms[k]:
-            contrib = term.coefficient(t) * term.op
-            acc = contrib if acc is None else acc + contrib
-        return acc
 
 
 class LocalHamiltonian:

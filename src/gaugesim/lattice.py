@@ -153,10 +153,6 @@ def cover_from_config(spec: dict, n_sites: int) -> PatchCover:
     raise ContractError(f"unknown cover scheme {scheme!r}")
 
 
-def cover_to_config(cover: PatchCover) -> dict:
-    return {"scheme": "explicit", "patches": [list(p.sites) for p in cover.patches]}
-
-
 # ---------------------------------------------------------------------------
 # Embedding and support detection
 # ---------------------------------------------------------------------------
@@ -166,12 +162,10 @@ def _site_tuple(where: Patch | Iterable[int]) -> tuple[int, ...]:
     return where.sites if isinstance(where, Patch) else Patch(where).sites
 
 
-def apply_local(op, where: Patch | Iterable[int], n: int, target, side: str = "left") -> np.ndarray:
-    """Multiply by an embedded patch-local operator without materializing it.
+def apply_local(op, where: Patch | Iterable[int], n: int, target) -> np.ndarray:
+    """embed(op) @ target for a vector or matrix target, without forming embed(op).
 
-    side="left" computes embed(op) @ target for a vector or matrix target;
-    side="right" computes target @ embed(op) for a matrix target. Cost scales
-    as 4^n * 2^k instead of 8^n for a dense product.
+    Cost scales as 4^n * 2^k instead of 8^n for a dense product.
     """
     sites = _site_tuple(where)
     op = as_operator(op)
@@ -181,13 +175,6 @@ def apply_local(op, where: Patch | Iterable[int], n: int, target, side: str = "l
     if sites[-1] >= n:
         raise ContractError(f"sites {sites} exceed n={n}")
     target = np.asarray(target, dtype=np.complex128)
-    if side == "right":
-        if target.ndim != 2:
-            raise ContractError("side='right' needs a matrix target")
-        return apply_local(op.T, sites, n, target.T, side="left").T
-    if side != "left":
-        raise ContractError(f"side must be 'left' or 'right', got {side!r}")
-
     dim = 2**n
     if target.shape[0] != dim:
         raise ContractError(f"target dim {target.shape[0]} != 2^{n}")

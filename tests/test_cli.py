@@ -196,6 +196,21 @@ class TestScenarios:
             ("circuit", {"circuit": {"depth": "x"}}, "circuit.depth"),
             ("circuit", {"circuit": {"depth": 1, "audit_patches": [[1, 2], [0, 2]]}},
              "circuit.audit_patches[1]"),
+            ("validate", {"times": ["soon"]}, "times"),
+            ("validate", {"tolerance": "tight"}, "tolerance"),
+            ("validate", {"seed": "abc"}, "seed"),
+            ("validate", {"integrator": {"dt": "small"}}, "integrator.dt"),
+            ("validate", {"integrator": {"reunitarize_every": "often"}},
+             "integrator.reunitarize_every"),
+            ("validate", {"integrator": {"renormalize": "false"}}, "integrator.renormalize"),
+            ("measure", {"measure": {"site": 1, "time": "later"}}, "measure.time"),
+            ("measure", {"measure": {"site": 1, "tolerance": "loose"}}, "measure.tolerance"),
+            ("circuit", {"circuit": {"depth": 1, "tolerance": "loose"}}, "circuit.tolerance"),
+            ("circuit", {"circuit": {"depth": 1, "support_tol": "tiny"}}, "circuit.support_tol"),
+            ("bench", {"bench": {"sizes": ["four"]}}, "bench.sizes"),
+            ("bench", {"bench": {"sizes": [4], "steps": "many"}}, "bench.steps"),
+            ("circuit", {"circuit": {"depth": 1}, "integrator": {"mode": "direct"}},
+             "integrator.mode"),
         ],
     )
     def test_bad_scenario_field_is_a_config_error(

@@ -33,6 +33,7 @@ from gaugesim.hamiltonian import (
     PAULI_Z,
     StepPlan,
     heisenberg_chain,
+    pauli_on,
     tfim_chain,
     tfim_chain_sitewise,
 )
@@ -44,7 +45,7 @@ from gaugesim.reference import (
     schrodinger_evolve,
 )
 
-from _oracles import plus_state, random_hermitian, taylor_expm
+from _oracles import plus_state, random_hermitian, random_state, taylor_expm
 
 CFG = IntegratorConfig(dt=1e-3, reunitarize_every=1)
 
@@ -284,6 +285,47 @@ class TestStepAndEvolve:
             got = state.local_expectation(p, PAULI_Z)
             want = np.vdot(psi_s, embed_operator(PAULI_Z, p, 4) @ psi_s)
             assert abs(got - want) < 1e-7
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_time_dependent_terms_match_oracle(self, mode):
+        def drive(t):
+            return 1.0 + 0.5 * np.sin(3.0 * t)
+
+        zz = np.kron(PAULI_Z, PAULI_Z)
+        x_lo = np.kron(np.eye(2), PAULI_X)
+        # each bond carrier holds a static ZZ and a driven field
+        carriers = LocalHamiltonian(
+            nn_pair_cover(4),
+            [
+                term
+                for i in range(3)
+                for term in (
+                    LocalTerm(Patch((i, i + 1)), -zz),
+                    LocalTerm(Patch((i, i + 1)), -x_lo, drive),
+                )
+            ],
+        )
+        # the same couplings as products on a single-site cover, driven fields
+        # carried by a callable coefficient
+        sitewise = LocalHamiltonian(
+            single_site_cover(4),
+            gen_terms=[
+                GeneralizedTerm((Patch((i,)), Patch((i + 1,))), -1.0, (PAULI_Z, PAULI_Z))
+                for i in range(3)
+            ]
+            + [GeneralizedTerm((Patch((i,)),), lambda t: -drive(t), (PAULI_X,)) for i in range(4)],
+        )
+        psi0 = random_state(16, np.random.default_rng(4))
+        for h in (carriers, sitewise):
+            state = init_gauge_state(psi0, h.cover, mode=mode, hamiltonian=h)
+            state = evolve(state, h, 0.2, CFG)
+            psi_s = schrodinger_evolve(h, psi0, 0.2)
+            for p in h.cover.patches:
+                for label in "XZ":
+                    op = pauli_on(label, p.sites[:1], p)
+                    got = state.local_expectation(p, op)
+                    want = np.vdot(psi_s, embed_operator(op, p, 4) @ psi_s)
+                    assert abs(got - want) < 1e-9
 
     def test_divergence_raises(self):
         h = tfim_chain(3, 1.0, 1.0)
@@ -650,21 +692,30 @@ class TestStepPlan:
 
     def test_incidence_of_the_tfim_chain(self):
         plan = tfim_chain(4, 1.0, 1.0).step_plan()
-        assert plan.carriers == (0, 1, 2)
-        assert plan.local_nbr == ((0, 1), (0, 1, 2), (1, 2))
+        assert [[j for j, _ in placed] for placed in plan.products] == [[0], [1], [2]]
+        assert plan.touching == ((0, 1), (0, 1, 2), (1, 2))
         assert plan.connection_keys == ((0, 1), (1, 2))
-        assert all(op is not None for op in plan.static_ops)
+        assert plan.coefficients == (None, None, None)  # static carriers
 
-    def test_time_dependent_carrier_is_summed_per_call(self):
+    def test_time_dependent_term_is_scaled_at_stage_times(self):
         cover = nn_pair_cover(3)
         zz = np.kron(PAULI_Z, PAULI_Z)
+        seen = []
+
+        def drive(t):
+            seen.append(t)
+            return t
+
         h = LocalHamiltonian(
-            cover,
-            [LocalTerm(Patch((0, 1)), zz), LocalTerm(Patch((0, 1)), zz, lambda t: t)],
+            cover, [LocalTerm(Patch((0, 1)), zz), LocalTerm(Patch((0, 1)), zz, drive)]
         )
         plan = h.step_plan()
-        assert plan.static_ops == (None,)
-        assert np.array_equal(plan.local_op(0, 2.0), 3.0 * zz)
+        # the static part of the carrier and the driven term are two products
+        assert [[j for j, _ in placed] for placed in plan.products] == [[0], [0]]
+        assert plan.coefficients[0] is None
+        assert np.array_equal(plan.products[1][0][1], zz)
+        step(init_gauge_state(plus_state(3), cover), h, IntegratorConfig(dt=0.1))
+        assert seen == [0.0, 0.05, 0.05, 0.1]
 
     def test_reordered_cover_gets_its_own_plan(self):
         h = tfim_chain(4, 1.0, 1.0)
@@ -818,7 +869,7 @@ class TestTracedNames:
             ("step", ["state", "hml", "config"]),
             ("rk4_step", ["y", "t", "dt", "deriv"]),
             ("polar_unitary", ["m", "tol", "max_iter"]),
-            ("apply_local", ["op", "where", "n", "target", "side"]),
+            ("apply_local", ["op", "where", "n", "target"]),
             ("unitarity_defect", ["m"]),
         ],
     )

@@ -9,7 +9,6 @@ from gaugesim.lattice import (
     PatchCover,
     apply_local,
     cover_from_config,
-    cover_to_config,
     embed_operator,
     nn_pair_cover,
     operator_support,
@@ -91,7 +90,6 @@ class TestCovers:
 
     def test_config_round_trip(self):
         cover = nn_pair_cover(4)
-        assert cover_from_config(cover_to_config(cover), 4) == cover
         assert cover_from_config({"scheme": "nn_pair"}, 4) == cover
         assert cover_from_config({"scheme": "single_site"}, 3) == single_site_cover(3)
         with pytest.raises(ContractError):
@@ -145,15 +143,6 @@ class TestApplyLocal:
         e = embed_operator(a, Patch((1, 3)), 4)
         assert np.abs(apply_local(a, (1, 3), 4, v) - e @ v).max() < 1e-13
         assert np.abs(apply_local(a, (1, 3), 4, m) - e @ m).max() < 1e-13
-        assert np.abs(apply_local(a, (1, 3), 4, m, side="right") - m @ e).max() < 1e-13
-
-    def test_bad_side_raises(self):
-        with pytest.raises(ContractError):
-            apply_local(np.eye(2), (0,), 2, np.zeros(4), side="middle")
-
-    def test_right_on_vector_raises(self):
-        with pytest.raises(ContractError):
-            apply_local(np.eye(2), (0,), 2, np.zeros(4), side="right")
 
 
 class TestOperatorSupport:
