@@ -13,7 +13,9 @@ failure, 3 numerical divergence.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -110,16 +112,19 @@ def _fail(path: str, message: str) -> ConfigError:
 
 
 def _integer(value, path: str) -> int:
+    """An integral JSON number (4 or 4.0); booleans, fractions and strings are refused."""
     try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise _fail(path, f"must be an integer, got {value!r}") from None
+        if not isinstance(value, bool) and int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise _fail(path, f"must be an integer, got {value!r}")
 
 
 def _number(value, path: str) -> float:
     try:
         number = float(value)
-        if np.isfinite(number):
+        if np.isfinite(number) and not isinstance(value, bool):
             return number
     except (TypeError, ValueError):
         pass
@@ -182,7 +187,7 @@ def _parse_observables(specs, cover: PatchCover) -> list[Observable]:
             raise _fail(path, "must be an object")
         try:
             labels = str(spec["pauli"]).upper()
-            sites = tuple(int(s) for s in spec["sites"])
+            sites = tuple(_integer(s, f"{path}.sites") for s in spec["sites"])
         except KeyError as exc:
             raise _fail(path, f"missing key {exc.args[0]!r}") from None
         if len(labels) != len(sites):
@@ -338,36 +343,28 @@ def parse_config(raw: dict, overrides: dict | None = None) -> Experiment:
 # ---------------------------------------------------------------------------
 
 
+CSV_COLUMNS = ("type", "time", "id", "re", "im", "oracle_re", "oracle_im", "gap")
+
+
 class RecordWriter:
     def __init__(self, exp: Experiment, stream: io.TextIOBase):
         self.exp = exp
         self.stream = stream
-        self.format = exp.out_format
-        self._csv = csv.writer(stream) if self.format == "csv" else None
+        self._csv = csv.writer(stream) if exp.out_format == "csv" else None
         if self._csv is not None:
-            self._csv.writerow(
-                ["type", "time", "id", "re", "im", "oracle_re", "oracle_im", "gap"]
-            )
+            self._csv.writerow(CSV_COLUMNS)
 
     def emit(self, record: dict) -> None:
-        record = dict(record)
-        record["config_hash"] = self.exp.hash
-        record["seed"] = self.exp.seed
+        record = dict(record, config_hash=self.exp.hash, seed=self.exp.seed)
         if self._csv is not None:
-            self._csv.writerow(
-                [
-                    record.get("type"),
-                    record.get("time"),
-                    record.get("id"),
-                    record.get("re"),
-                    record.get("im"),
-                    record.get("oracle_re"),
-                    record.get("oracle_im"),
-                    record.get("gap"),
-                ]
-            )
+            self._csv.writerow([record.get(column) for column in CSV_COLUMNS])
         else:
             self.stream.write(canonical_json(record) + "\n")
+
+    def summary(self, ok: bool, **fields) -> int:
+        """Close the stream with the summary record; its status sets the exit code."""
+        self.emit({"type": "summary", "status": "pass" if ok else "fail", **fields})
+        return EXIT_OK if ok else EXIT_TOLERANCE
 
 
 def _header_record(exp: Experiment) -> dict:
@@ -420,7 +417,6 @@ def _observable_records(
 
 
 def _run_evolve(exp: Experiment, writer: RecordWriter, with_oracle: bool) -> int:
-    writer.emit(_header_record(exp))
     state = init_gauge_state(exp.psi0, exp.cover, mode=exp.mode, hamiltonian=exp.hml)
     max_gap = 0.0
     for t in exp.times:
@@ -430,20 +426,12 @@ def _run_evolve(exp: Experiment, writer: RecordWriter, with_oracle: bool) -> int
             max_gap = max(max_gap, record.get("gap", 0.0))
             writer.emit(record)
         writer.emit(_defect_record(state, time=t))
-    status = "pass" if (not with_oracle or max_gap <= exp.tolerance) else "fail"
-    writer.emit(
-        {
-            "type": "summary",
-            "status": status,
-            "max_gap": max_gap if with_oracle else None,
-            "tolerance": exp.tolerance if with_oracle else None,
-        }
-    )
-    return EXIT_OK if status == "pass" else EXIT_TOLERANCE
+    if not with_oracle:
+        return writer.summary(True, max_gap=None, tolerance=None)
+    return writer.summary(max_gap <= exp.tolerance, max_gap=max_gap, tolerance=exp.tolerance)
 
 
 def _run_circuit(exp: Experiment, writer: RecordWriter) -> int:
-    writer.emit(_header_record(exp))
     depth = exp.circuit_depth
     circuit = brickwork(exp.n_sites, depth, gate_source=exp.seed)
     state = init_gauge_state(exp.psi0, exp.cover, mode=exp.mode)
@@ -474,21 +462,12 @@ def _run_circuit(exp: Experiment, writer: RecordWriter) -> int:
         _defect_record(state, time=float(depth), include_cocycle=exp.n_sites <= 8)
     )
     tol = exp.circuit_tolerance
-    ok = all_ok and max_gap <= tol
-    writer.emit(
-        {
-            "type": "summary",
-            "status": "pass" if ok else "fail",
-            "max_gap": max_gap,
-            "tolerance": tol,
-            "audits_ok": all_ok,
-        }
+    return writer.summary(
+        all_ok and max_gap <= tol, max_gap=max_gap, tolerance=tol, audits_ok=all_ok
     )
-    return EXIT_OK if ok else EXIT_TOLERANCE
 
 
 def _run_measure(exp: Experiment, writer: RecordWriter) -> int:
-    writer.emit(_header_record(exp))
     ks = exp.projectors
     t = exp.measure_time
     state = init_gauge_state(exp.psi0, exp.cover, mode=exp.mode, hamiltonian=exp.hml)
@@ -519,19 +498,11 @@ def _run_measure(exp: Experiment, writer: RecordWriter) -> int:
         writer.emit(record)
     writer.emit(_defect_record(state, time=t))
     tol = exp.measure_tolerance
-    ok = max(gaps) <= tol
-    writer.emit(
-        {
-            "type": "summary",
-            "status": "pass" if ok else "fail",
-            "max_gap": max(gaps),
-            "tolerance": tol,
-        }
-    )
-    return EXIT_OK if ok else EXIT_TOLERANCE
+    return writer.summary(max(gaps) <= tol, max_gap=max(gaps), tolerance=tol)
 
 
-def _run_bench(exp: Experiment) -> int:
+def _run_bench(exp: Experiment, stream: io.TextIOBase) -> int:
+    """The CSV timing table; bench writes no records, so no header or summary."""
     steps = exp.bench_steps
     model = exp.raw["model"]
     rows = [("n", "mode", "steps", "seconds_per_step", "oracle_seconds")]
@@ -550,13 +521,16 @@ def _run_bench(exp: Experiment) -> int:
             per_step = (time.perf_counter() - t0) / max(state.steps, 1)
             rows.append((n, mode, state.steps, f"{per_step:.6e}", f"{oracle_seconds:.6e}"))
             log.info("bench n=%d mode=%s: %s s/step", n, mode, f"{per_step:.3e}")
-    text = "\n".join(",".join(str(c) for c in row) for row in rows) + "\n"
-    if exp.out_path:
-        with open(exp.out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    stream.write("\n".join(",".join(str(c) for c in row) for row in rows) + "\n")
     return EXIT_OK
+
+
+RUNNERS = {
+    "evolve": functools.partial(_run_evolve, with_oracle=False),
+    "validate": functools.partial(_run_evolve, with_oracle=True),
+    "circuit": _run_circuit,
+    "measure": _run_measure,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -587,11 +561,24 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_raw_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            raw = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a JSON object")
+    return raw
+
+
+def _open_output(path: str | None):
+    """The one output stream of a run: the file at `path`, or stdout (left open)."""
+    if not path:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w", newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot open output path {path!r}: {exc.strerror}") from None
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -610,49 +597,26 @@ def main(argv: list[str] | None = None) -> int:
                 f"config declares scenario {raw['scenario']!r} but the "
                 f"{args.command!r} subcommand was invoked"
             )
-        overrides = {
-            "seed": args.seed,
-            "dt": args.dt,
-            "mode": args.mode,
-        }
-        if args.out is not None:
-            raw["output"] = dict(raw.get("output") or {})
-            raw["output"]["path"] = args.out
-        if args.format is not None:
-            raw["output"] = dict(raw.get("output") or {})
-            raw["output"]["format"] = args.format
-        exp = parse_config(raw, overrides)
+        flags = (("path", args.out), ("format", args.format))
+        output = {key: value for key, value in flags if value is not None}
+        if output:
+            raw["output"] = {**(raw.get("output") or {}), **output}
+        exp = parse_config(raw, {"seed": args.seed, "dt": args.dt, "mode": args.mode})
+        sink = _open_output(exp.out_path)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     try:
-        if exp.scenario == "bench":
-            return _run_bench(exp)
-        if exp.out_path:
-            stream = open(exp.out_path, "w", newline="")
-        else:
-            stream = sys.stdout
-        try:
+        with sink as stream:
+            if exp.scenario == "bench":  # a CSV timing table, not a record stream
+                return _run_bench(exp, stream)
             writer = RecordWriter(exp, stream)
-            if exp.scenario == "evolve":
-                return _run_evolve(exp, writer, with_oracle=False)
-            if exp.scenario == "validate":
-                return _run_evolve(exp, writer, with_oracle=True)
-            if exp.scenario == "circuit":
-                return _run_circuit(exp, writer)
-            if exp.scenario == "measure":
-                return _run_measure(exp, writer)
-            raise ConfigError(f"unhandled scenario {exp.scenario!r}")
-        finally:
-            if exp.out_path:
-                stream.close()
+            writer.emit(_header_record(exp))
+            return RUNNERS[exp.scenario](exp, writer)
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except GaugeSimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TOLERANCE

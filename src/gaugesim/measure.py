@@ -20,6 +20,8 @@ from .lattice import Patch, apply_local
 from .linalg import as_operator
 
 PAULI_BASES = ("Z", "X")
+MIN_PROBABILITY = 1e-12  # an outcome at or below this probability cannot be collapsed onto
+CONSISTENCY_TOL = 1e-6  # largest consistency defect at which P_k is unambiguous
 
 
 @dataclass(frozen=True)
@@ -70,9 +72,7 @@ def validate_kraus(ks: KrausSet, tol: float = 1e-10) -> KrausCheck:
     return KrausCheck(ok=defect <= tol, defect=defect, tol=tol)
 
 
-def _outcomes(
-    state: GaugeState, ks: KrausSet, consistency_tol: float
-) -> tuple[list[np.ndarray], np.ndarray]:
+def _outcomes(state: GaugeState, ks: KrausSet) -> tuple[list[np.ndarray], np.ndarray]:
     """E_k applied to the measured patch's wavefunction (picture-dressed), and P_k."""
     if ks.patch not in state.cover:
         raise ContractError(f"{ks.patch} is not a patch of the cover")
@@ -82,9 +82,9 @@ def _outcomes(
             f"Kraus operators do not resolve the identity (defect {check.defect:.3e})"
         )
     defect = state.consistency()
-    if defect > consistency_tol:
+    if defect > CONSISTENCY_TOL:
         raise ContractError(
-            f"state is inconsistent (defect {defect:.3e} > {consistency_tol:.1e}); "
+            f"state is inconsistent (defect {defect:.3e} > {CONSISTENCY_TOL:.1e}); "
             "measurement probabilities would be ambiguous"
         )
     patch = ks.patch
@@ -98,11 +98,9 @@ def _outcomes(
     return vecs, np.array([float(np.linalg.norm(v)) ** 2 for v in vecs])
 
 
-def measurement_probabilities(
-    state: GaugeState, ks: KrausSet, consistency_tol: float = 1e-6
-) -> np.ndarray:
+def measurement_probabilities(state: GaugeState, ks: KrausSet) -> np.ndarray:
     """P_k = <psi_I0 | E_k^dag E_k | psi_I0> for the measured patch I0."""
-    return _outcomes(state, ks, consistency_tol)[1]
+    return _outcomes(state, ks)[1]
 
 
 def _sample_outcome(probs: np.ndarray, rng: np.random.Generator) -> int:
@@ -120,15 +118,13 @@ def apply_measurement(
     ks: KrausSet,
     outcome: int | None = None,
     rng: np.random.Generator | int | None = None,
-    min_probability: float = 1e-12,
-    consistency_tol: float = 1e-6,
 ) -> tuple[GaugeState, MeasurementRecord]:
     """Collapse on the measured patch and transport the result everywhere.
 
     `outcome` forces a specific Kraus operator; otherwise one is sampled from
     the outcome distribution using the supplied seed or generator.
     """
-    vecs, probs = _outcomes(state, ks, consistency_tol)
+    vecs, probs = _outcomes(state, ks)
     if outcome is None:
         if rng is None:
             raise ContractError("provide either an outcome or a seeded generator")
@@ -139,9 +135,9 @@ def apply_measurement(
     if not 0 <= outcome < len(ks):
         raise ContractError(f"outcome {outcome} out of range for {len(ks)} operators")
     p = float(probs[outcome])
-    if p <= min_probability:
+    if p <= MIN_PROBABILITY:
         raise ContractError(
-            f"outcome {outcome} has probability {p:.3e} <= {min_probability:.1e}; "
+            f"outcome {outcome} has probability {p:.3e} <= {MIN_PROBABILITY:.1e}; "
             "the post-measurement state is undefined"
         )
     collapsed = vecs[outcome] / np.linalg.norm(vecs[outcome])

@@ -211,6 +211,15 @@ class TestScenarios:
             ("bench", {"bench": {"sizes": [4], "steps": "many"}}, "bench.steps"),
             ("circuit", {"circuit": {"depth": 1}, "integrator": {"mode": "direct"}},
              "integrator.mode"),
+            ("validate", {"seed": 2.9}, "seed"),
+            ("validate", {"seed": True}, "seed"),
+            ("validate", {"integrator": {"reunitarize_every": 2.9}},
+             "integrator.reunitarize_every"),
+            ("validate", {"tolerance": True}, "tolerance"),
+            ("validate", {"integrator": {"dt": True}}, "integrator.dt"),
+            ("circuit", {"circuit": {"depth": 1.5}}, "circuit.depth"),
+            ("validate", {"observables": [{"pauli": "Z", "sites": [1.5]}]},
+             "observables[0].sites"),
         ],
     )
     def test_bad_scenario_field_is_a_config_error(
@@ -225,6 +234,44 @@ class TestScenarios:
         cfg = write_config(tmp_path, base_config(scenario=scenario, **section))
         assert main([scenario, "--config", str(cfg)]) == EXIT_CONFIG
         assert f"config error: config field '{field}'" in capsys.readouterr().err
+
+    def test_entry_point_failures_are_config_errors(self, tmp_path, monkeypatch, capsys):
+        import gaugesim.cli as cli_module
+
+        def no_state(*args, **kwargs):
+            raise AssertionError("a state was built before the config was checked")
+
+        monkeypatch.setattr(cli_module, "init_gauge_state", no_state)
+        not_an_object = tmp_path / "list.json"
+        not_an_object.write_text("[1, 2]")
+        assert main(["validate", "--config", str(not_an_object)]) == EXIT_CONFIG
+        assert "config error: config must be a JSON object" in capsys.readouterr().err
+        cfg = write_config(tmp_path, base_config())
+        out = tmp_path / "no-such-dir" / "out.jsonl"
+        assert main(["validate", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and str(out) in err
+
+    @pytest.mark.parametrize(
+        "scenario, section",
+        [
+            ("evolve", {}),
+            ("validate", {}),
+            ("validate", {"tolerance": 1e-18, "times": [0.4]}),
+            ("circuit", {"circuit": {"depth": 2}}),
+            ("measure", {"measure": {"site": 1, "time": 0.1}}),
+        ],
+    )
+    def test_one_header_first_and_one_summary_last(self, tmp_path, scenario, section):
+        cfg = write_config(tmp_path, base_config(scenario=scenario, **section))
+        out = tmp_path / "out.jsonl"
+        code = main([scenario, "--config", str(cfg), "--out", str(out)])
+        records = read_records(out)
+        types = [r["type"] for r in records]
+        assert types[0] == "header" and types.count("header") == 1
+        assert types[-1] == "summary" and types.count("summary") == 1
+        assert (records[-1]["status"] == "pass") == (code == EXIT_OK)
+        assert code in (EXIT_OK, EXIT_TOLERANCE)
 
     def test_measure_scenario_sweeps_once(self, tmp_path, monkeypatch):
         import gaugesim.measure as measure_module
@@ -301,6 +348,18 @@ class TestScenarios:
         }
         assert per_step[(6, "generator")] > per_step[(4, "generator")]
         assert per_step[(6, "direct")] > per_step[(4, "direct")]
+
+    def test_bench_without_out_writes_table_to_stdout(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path, base_config(scenario="bench", bench={"sizes": [3], "steps": 2})
+        )
+        assert main(["bench", "--config", str(cfg)]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "n,mode,steps,seconds_per_step,oracle_seconds"
+        assert [line.split(",")[:3] for line in lines[1:]] == [
+            ["3", "generator", "2"],
+            ["3", "direct", "2"],
+        ]
 
     def test_divergence_exit_code(self, tmp_path):
         cfg = write_config(
