@@ -18,7 +18,7 @@ from .lattice import (
     site_identity_defects,
 )
 from .linalg import expm_hermitian, random_unitary, require_unitary
-from .reference import ReferenceBundle
+from .reference import LazyMapping, ReferenceBundle
 
 
 @dataclass(frozen=True)
@@ -116,27 +116,28 @@ def circuit_reference(circuit: Circuit, cover: PatchCover, psi0) -> ReferenceBun
     """Reference gauge variables after a circuit, from global gate products.
 
     For each patch the complement propagator is the same circuit with every
-    gate overlapping the patch removed; the full product gives the global
-    propagator. All bundle quantities follow from those two.
+    gate overlapping the patch removed, computed when it is first read; the
+    full product gives the global propagator. All bundle quantities follow
+    from those two.
     """
     if circuit.n_sites != cover.n_sites:
         raise ContractError("circuit and cover disagree on the number of sites")
     psi0 = np.asarray(psi0, dtype=np.complex128)
-    dim = 2**circuit.n_sites
     propagator = circuit.unitary()
-    complements = {}
-    for p in cover.patches:
-        u = np.eye(dim, dtype=np.complex128)
-        for i in range(circuit.depth):
-            for g in circuit.layers[i]:
+
+    def complement(p: Patch) -> np.ndarray:
+        u = np.eye(2**circuit.n_sites, dtype=np.complex128)
+        for layer in circuit.layers:
+            for g in layer:
                 if not g.patch.overlaps(p):
                     u = apply_local(g.op, g.patch, circuit.n_sites, u)
-        complements[p] = u
+        return u
+
     return ReferenceBundle(
         cover=cover,
         time=float(circuit.depth),
         propagator=propagator,
-        complements=complements,
+        complements=LazyMapping(cover.patches, complement),
         psi_schrodinger=propagator @ psi0,
     )
 

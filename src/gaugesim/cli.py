@@ -131,6 +131,16 @@ def _number(value, path: str) -> float:
     raise _fail(path, f"must be a finite number, got {value!r}")
 
 
+def _section(cfg: dict, key: str) -> dict:
+    """A copy of the config object under key; absent or null reads as {}."""
+    value = cfg.get(key)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise _fail(key, f"must be an object, got {value!r}")
+    return dict(value)
+
+
 def _cover_patch(spec, cover: PatchCover, path: str) -> Patch:
     try:
         patch = Patch(spec)
@@ -170,7 +180,7 @@ def _initial_state(spec, n: int) -> np.ndarray:
         return psi
     if isinstance(spec, dict) and "bitstring" in spec:
         bits = spec["bitstring"]
-        if len(bits) != n or set(bits) - {"0", "1"}:
+        if not isinstance(bits, str) or len(bits) != n or set(bits) - {"0", "1"}:
             raise _fail("initial_state.bitstring", f"need {n} characters of 0/1")
         index = sum(int(b) << i for i, b in enumerate(bits))
         psi = np.zeros(dim, dtype=np.complex128)
@@ -180,6 +190,8 @@ def _initial_state(spec, n: int) -> np.ndarray:
 
 
 def _parse_observables(specs, cover: PatchCover) -> list[Observable]:
+    if not isinstance(specs, list):
+        raise _fail("observables", f"must be a list of objects, got {specs!r}")
     out = []
     for idx, spec in enumerate(specs):
         path = f"observables[{idx}]"
@@ -187,9 +199,12 @@ def _parse_observables(specs, cover: PatchCover) -> list[Observable]:
             raise _fail(path, "must be an object")
         try:
             labels = str(spec["pauli"]).upper()
-            sites = tuple(_integer(s, f"{path}.sites") for s in spec["sites"])
+            sites = spec["sites"]
         except KeyError as exc:
             raise _fail(path, f"missing key {exc.args[0]!r}") from None
+        if not isinstance(sites, list):
+            raise _fail(f"{path}.sites", f"must be a list of sites, got {sites!r}")
+        sites = tuple(_integer(s, f"{path}.sites") for s in sites)
         if len(labels) != len(sites):
             raise _fail(path, f"{len(labels)} Pauli labels for {len(sites)} sites")
         host = next(
@@ -216,7 +231,7 @@ def parse_config(raw: dict, overrides: dict | None = None) -> Experiment:
     for key, value in (overrides or {}).items():
         if value is not None:
             if key in ("dt", "mode"):
-                cfg["integrator"] = dict(cfg.get("integrator") or {})
+                cfg["integrator"] = _section(cfg, "integrator")
                 cfg["integrator"][key] = value
             else:
                 cfg[key] = value
@@ -239,13 +254,15 @@ def parse_config(raw: dict, overrides: dict | None = None) -> Experiment:
     except (ContractError, TypeError) as exc:
         raise _fail("model", str(exc)) from None
     try:
-        cover = cover_from_config(cfg.get("cover") or {}, n_sites)
-    except ContractError as exc:
+        cover = cover_from_config(_section(cfg, "cover"), n_sites)
+    except KeyError as exc:
+        raise _fail("cover", f"missing key {exc.args[0]!r}") from None
+    except (ContractError, TypeError, ValueError) as exc:
         raise _fail("cover", str(exc)) from None
     if cover != hml.cover:
         raise _fail("cover", "does not match the cover implied by the model")
 
-    integ = dict(cfg.get("integrator") or {})
+    integ = _section(cfg, "integrator")
     mode = integ.pop("mode", GENERATOR)
     if mode not in MODES:
         raise _fail("integrator.mode", f"must be {'|'.join(MODES)}, got {mode!r}")
@@ -279,7 +296,7 @@ def parse_config(raw: dict, overrides: dict | None = None) -> Experiment:
     psi0 = _initial_state(cfg.get("initial_state"), n_sites)
     observables = _parse_observables(cfg.get("observables", []), cover)
 
-    out_cfg = dict(cfg.get("output") or {})
+    out_cfg = _section(cfg, "output")
     out_format = str(out_cfg.get("format", "jsonl"))
     if out_format == "json":  # accepted alias: records are JSON lines
         out_format = "jsonl"
@@ -309,27 +326,30 @@ def parse_config(raw: dict, overrides: dict | None = None) -> Experiment:
     if scenario in ("evolve", "validate") and not observables:
         raise _fail("observables", f"scenario {scenario!r} needs observables")
     if scenario == "circuit":
-        spec = dict(cfg.get("circuit") or {})
+        spec = _section(cfg, "circuit")
         exp.circuit_depth = _integer(spec.get("depth", 0), "circuit.depth")
         if exp.circuit_depth < 1:
             raise _fail("circuit.depth", "must be >= 1")
+        audit = spec.get("audit_patches", [])
+        if not isinstance(audit, list):
+            raise _fail("circuit.audit_patches", f"must be a list of patches, got {audit!r}")
         exp.audit_patches = [
             _cover_patch(patch, cover, f"circuit.audit_patches[{idx}]")
-            for idx, patch in enumerate(spec.get("audit_patches", []))
+            for idx, patch in enumerate(audit)
         ]
         exp.circuit_tolerance = _number(spec.get("tolerance", 1e-8), "circuit.tolerance")
         exp.circuit_support_tol = _number(
             spec.get("support_tol", 1e-12), "circuit.support_tol"
         )
     if scenario == "measure":
-        spec = dict(cfg.get("measure") or {})
+        spec = _section(cfg, "measure")
         exp.measure_site, exp.measure_basis, exp.projectors = _parse_measure(spec, cover)
         exp.measure_time = _number(
             spec.get("time", times[-1] if times else 0.0), "measure.time"
         )
         exp.measure_tolerance = _number(spec.get("tolerance", 1e-8), "measure.tolerance")
     if scenario == "bench":
-        spec = dict(cfg.get("bench") or {})
+        spec = _section(cfg, "bench")
         sizes = spec.get("sizes")
         if not isinstance(sizes, list) or not sizes:
             raise _fail("bench.sizes", f"must be a nonempty list of sizes, got {sizes!r}")
@@ -600,7 +620,7 @@ def main(argv: list[str] | None = None) -> int:
         flags = (("path", args.out), ("format", args.format))
         output = {key: value for key, value in flags if value is not None}
         if output:
-            raw["output"] = {**(raw.get("output") or {}), **output}
+            raw["output"] = {**_section(raw, "output"), **output}
         exp = parse_config(raw, {"seed": args.seed, "dt": args.dt, "mode": args.mode})
         sink = _open_output(exp.out_path)
     except ConfigError as exc:

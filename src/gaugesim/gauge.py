@@ -307,30 +307,57 @@ class GeneratorState(GaugeState):
         return self._with_frames(frames, dressing=dressing)
 
     def _layered(self, gates: dict[Patch, np.ndarray]) -> "GeneratorState":
-        patches = self.cover.patches
-        frames = np.empty_like(self.frame_stack)
-        sandwiches = {}  # V^dag G V with V = D^dag U, for gates reaching other patches
+        """U_I -> U_I prod_(gates g near I) S_g, with S_g = V_g^dag G V_g and V = D^dag U.
+
+        Patches are updated in cover order and each sandwich S_g lives only
+        from the first patch that multiplies by it to the last, so on a chain
+        at most two sandwiches and one scratch matrix are alive next to the
+        two frame stacks. A gate's own patch takes U S_g = D G V locally.
+        """
+        cover, n, old = self.cover, self.n_sites, self.frame_stack
+        frames = np.empty_like(old)
+        users = {gp: len(cover.overlapping(gp)) - 1 for gp in gates}  # patches yet to use S_g
+        sandwiches: dict[Patch, np.ndarray] = {}
         for gp, g in gates.items():
-            i = self.cover.index(gp)
+            j = cover.index(gp)
             d = self.dressing_of(gp)
-            v = self.frame_stack[i] if d is None else d.conj().T @ self.frame_stack[i]
-            gv = apply_local(g, gp, self.n_sites, v)
-            if any(p != gp and p.overlaps(gp) for p in patches):
-                sandwiches[gp] = v.conj().T @ gv
-            # U (V^dag G V) = D G V: a patch's own gate acts locally
-            frames[i] = gv if d is None else d @ gv
-        for i, p in enumerate(patches):
-            w = None
-            for gp in gates:
-                if gp != p and gp.overlaps(p):
-                    w = sandwiches[gp] if w is None else w @ sandwiches[gp]
+            if d is None:
+                frames[j] = apply_local(g, gp, n, old[j])  # G V, read again by S_g
+            else:
+                v = d.conj().T @ old[j]
+                gv = apply_local(g, gp, n, v)
+                if users[gp]:  # G V is not kept, so S_g is formed now
+                    sandwiches[gp] = v.conj().T @ gv
+                np.matmul(d, gv, out=frames[j])
+        scratch = np.empty_like(old[0])  # conj(V), then a patch's product of sandwiches
+
+        def sandwich(gp: Patch) -> np.ndarray:
+            if gp not in sandwiches:
+                j = cover.index(gp)
+                np.conjugate(old[j], out=scratch)
+                sandwiches[gp] = scratch.T @ frames[j]
+            return sandwiches[gp]
+
+        for i, p in enumerate(cover.patches):
+            near = [gp for gp in gates if gp != p and gp.overlaps(p)]
+            if near and users.get(p):
+                sandwich(p)  # read G V before the slot is multiplied below
+            mats = [sandwich(gp) for gp in near]
+            w = mats[0] if mats else None
+            for s in mats[1:]:
+                w = np.matmul(w, s, out=scratch)
             if p in gates:
                 if w is not None:
                     frames[i] = frames[i] @ w
             elif w is None:
-                frames[i] = self.frame_stack[i]
+                frames[i] = old[i]
             else:
-                np.matmul(self.frame_stack[i], w, out=frames[i])
+                np.matmul(old[i], w, out=frames[i])
+            for gp in near:
+                users[gp] -= 1
+                if not users[gp]:
+                    del sandwiches[gp]
+            del mats, w  # a sandwich past its last user is freed here
         return self._with_frames(frames)
 
     def _collapsed(self, patch: Patch, collapsed: np.ndarray) -> "GeneratorState":
@@ -762,6 +789,11 @@ def apply_commuting_layer(
     Each patch overlapping a gate is updated by the product of nearby gates
     transported into its frame; connections between updated patches are
     conjugated accordingly. Patches away from every gate are untouched.
+
+    In generator mode the layer holds the input and output frame stacks plus
+    (s + 1) D x D matrices, s being the most gate sandwiches V^dag G V alive
+    at once: each is formed when the first patch needs it and freed after the
+    last (s = 2 on a chain brickwork).
     """
     checked: dict[Patch, np.ndarray] = {}  # in sorted patch order
     for patch in sorted(gates):

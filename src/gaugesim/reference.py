@@ -9,8 +9,10 @@ over speed throughout.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -23,6 +25,28 @@ from .linalg import as_state, expm_hermitian
 DEFAULT_REFERENCE_DT = 1e-4
 
 
+class LazyMapping(Mapping):
+    """A read-only mapping over fixed keys whose values are computed on first read."""
+
+    def __init__(self, keys: Iterable, compute: Callable):
+        self._keys = tuple(keys)
+        self._compute = compute
+        self._cache: dict = {}
+
+    def __getitem__(self, key):
+        if key not in self._cache:
+            if key not in self._keys:
+                raise KeyError(key)
+            self._cache[key] = self._compute(key)
+        return self._cache[key]
+
+    def __iter__(self):
+        return iter(self._keys)
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+
 @dataclass(frozen=True)
 class ReferenceBundle:
     """Globally-computed gauge variables at one time.
@@ -30,14 +54,14 @@ class ReferenceBundle:
     `complements` holds, for each patch, the propagator generated by the
     Hamiltonian terms that do not touch the patch; it relates the per-patch
     wavefunctions to the global one: psi_patch = complement^dag psi_global,
-    frame = complement^dag propagator. `frames` and `psi` are built from
-    these on first access and cached.
+    frame = complement^dag propagator. It may be a `LazyMapping`, and `frames`
+    and `psi` are built from it on first access and cached.
     """
 
     cover: PatchCover
     time: float
     propagator: np.ndarray
-    complements: dict[Patch, np.ndarray]
+    complements: Mapping[Patch, np.ndarray]
     psi_schrodinger: np.ndarray
 
     @cached_property

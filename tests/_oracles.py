@@ -127,3 +127,38 @@ def random_state(dim, rng):
 
 def plus_state(n):
     return np.full(2**n, 2 ** (-n / 2), dtype=complex)
+
+
+def eager_layer_frames(state, gates):
+    """Frames after a commuting layer, by the eager formula: every sandwich at once.
+
+    U_I -> U_I prod_(g near I) V_g^dag G V_g with V = D^dag U, and a gate's own
+    patch takes D G V. This keeps the package's `apply_local` and the same
+    matrix products in the same order, so results agree bit for bit.
+    """
+    from gaugesim.lattice import apply_local
+
+    patches = state.cover.patches
+    frames = np.empty_like(state.frame_stack)
+    sandwiches = {}
+    for gp, g in gates.items():
+        i = state.cover.index(gp)
+        d = state.dressing_of(gp)
+        v = state.frame_stack[i] if d is None else d.conj().T @ state.frame_stack[i]
+        gv = apply_local(g, gp, state.n_sites, v)
+        if any(p != gp and p.overlaps(gp) for p in patches):
+            sandwiches[gp] = v.conj().T @ gv
+        frames[i] = gv if d is None else d @ gv
+    for i, p in enumerate(patches):
+        w = None
+        for gp in gates:
+            if gp != p and gp.overlaps(p):
+                w = sandwiches[gp] if w is None else w @ sandwiches[gp]
+        if p in gates:
+            if w is not None:
+                frames[i] = frames[i] @ w
+        elif w is None:
+            frames[i] = state.frame_stack[i]
+        else:
+            np.matmul(state.frame_stack[i], w, out=frames[i])
+    return frames

@@ -21,7 +21,7 @@ from gaugesim.gauge import (
     init_gauge_state,
 )
 from gaugesim.hamiltonian import PAULI_X, PAULI_Z
-from gaugesim.lattice import Patch, embed_operator, nn_pair_cover
+from gaugesim.lattice import Patch, apply_local, embed_operator, nn_pair_cover
 from gaugesim.linalg import expm_hermitian, frobenius_distance, random_unitary
 
 from _oracles import plus_state
@@ -174,6 +174,47 @@ class TestRunCircuit:
         state = init_gauge_state(plus_state(3), nn_pair_cover(3))
         with pytest.raises(ContractError):
             run_circuit(state, brickwork(4, 1))
+
+    def test_complements_are_computed_on_first_read(self, monkeypatch):
+        import gaugesim.circuits as circuits_module
+
+        calls = []
+        original = circuits_module.apply_local
+
+        def counted(*args):
+            calls.append(args[1])
+            return original(*args)
+
+        monkeypatch.setattr(circuits_module, "apply_local", counted)
+        n = 5
+        cover = nn_pair_cover(n)
+        circ = brickwork(n, 3, gate_source=71)
+        gate_count = sum(len(layer) for layer in circ.layers)
+        ref = circuit_reference(circ, cover, plus_state(n))
+        assert ref.psi_schrodinger.shape == (2**n,)
+        assert len(calls) == gate_count  # the propagator only: no complement yet
+        p = cover.patches[1]
+        first = ref.complements[p]
+        away = sum(not g.patch.overlaps(p) for layer in circ.layers for g in layer)
+        assert len(calls) == gate_count + away
+        assert ref.complements[p] is first  # cached
+        assert len(calls) == gate_count + away
+        assert list(ref.complements) == list(cover.patches) and len(ref.complements) == len(cover)
+
+    def test_lazy_complements_equal_the_eager_products(self):
+        n = 5
+        cover = nn_pair_cover(n)
+        circ = brickwork(n, 3, gate_source=73)
+        ref = circuit_reference(circ, cover, plus_state(n))
+        for p in cover.patches:
+            u = np.eye(2**n, dtype=complex)
+            for layer in circ.layers:
+                for g in layer:
+                    if not g.patch.overlaps(p):
+                        u = apply_local(g.op, g.patch, n, u)
+            assert np.array_equal(ref.complements[p], u)
+        with pytest.raises(KeyError):
+            ref.complements[Patch((0, 2))]
 
 
 class TestScheduleExport:

@@ -220,6 +220,19 @@ class TestScenarios:
             ("circuit", {"circuit": {"depth": 1.5}}, "circuit.depth"),
             ("validate", {"observables": [{"pauli": "Z", "sites": [1.5]}]},
              "observables[0].sites"),
+            ("validate", {"integrator": "fast"}, "integrator"),
+            ("validate", {"output": "x.jsonl"}, "output"),
+            ("validate", {"cover": "nn"}, "cover"),
+            ("circuit", {"circuit": "deep"}, "circuit"),
+            ("measure", {"measure": 3}, "measure"),
+            ("bench", {"bench": "fast"}, "bench"),
+            ("validate", {"observables": [{"pauli": "Z", "sites": 3}]},
+             "observables[0].sites"),
+            ("validate", {"observables": 3}, "observables"),
+            ("validate", {"cover": {"scheme": "explicit"}}, "cover"),
+            ("validate", {"cover": {"scheme": "explicit", "patches": 3}}, "cover"),
+            ("validate", {"initial_state": {"bitstring": 101}}, "initial_state.bitstring"),
+            ("circuit", {"circuit": {"depth": 1, "audit_patches": 5}}, "circuit.audit_patches"),
         ],
     )
     def test_bad_scenario_field_is_a_config_error(

@@ -1,5 +1,6 @@
 import functools
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,7 +46,7 @@ from gaugesim.reference import (
     schrodinger_evolve,
 )
 
-from _oracles import plus_state, random_hermitian, random_state, taylor_expm
+from _oracles import eager_layer_frames, plus_state, random_hermitian, random_state, taylor_expm
 
 CFG = IntegratorConfig(dt=1e-3, reunitarize_every=1)
 
@@ -612,6 +613,74 @@ class TestCommutingLayers:
                 want = np.vdot(psi_after, embed_operator(op, p, n) @ psi_after)
                 assert abs(new.local_expectation(p, op) - want) < 1e-12
         assert new.diagnostics().consistency < 1e-12
+
+
+class TestStreamedLayer:
+    """The layer forms each sandwich on demand and frees it after its last user."""
+
+    @staticmethod
+    def _brickwork_gates(n, offset, rng):
+        return {Patch((i, i + 1)): random_unitary(4, rng) for i in range(offset, n - 1, 2)}
+
+    @pytest.mark.parametrize("offset", [0, 1])
+    def test_live_set_is_two_stacks_and_three_matrices(self, offset):
+        n = 8
+        cover = nn_pair_cover(n)
+        rng = np.random.default_rng(41)
+        state = run_circuit(init_gauge_state(random_state(2**n, rng), cover), brickwork(n, 2, 43))
+        gates = self._brickwork_gates(n, offset, rng)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            new = apply_commuting_layer(state, gates)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        matrix = 16 * 4**n
+        assert new.frame_stack.nbytes == len(cover) * matrix
+        # the output stack plus at most two sandwiches and one scratch matrix
+        assert peak <= (len(cover) + 3) * matrix + 256 * 1024
+
+    @pytest.mark.parametrize("offset", [0, 1])
+    def test_brickwork_matches_eager_formula_bitwise(self, offset):
+        n = 6
+        rng = np.random.default_rng(47)
+        state = run_circuit(
+            init_gauge_state(random_state(2**n, rng), nn_pair_cover(n)), brickwork(n, 3, 53)
+        )
+        gates = self._brickwork_gates(n, offset, rng)
+        new = apply_commuting_layer(state, gates)
+        assert np.array_equal(new.frame_stack, eager_layer_frames(state, gates))
+
+    def test_explicit_cover_with_overlapping_gates_matches_eager_formula_bitwise(self):
+        # a 3-site patch, a non-contiguous patch, and commuting diagonal gates
+        # on overlapping patches, so gate patches also take other gates' sandwiches
+        cover = PatchCover(5, [(0, 1, 2), (2, 3), (3, 4), (1, 4)])
+        rng = np.random.default_rng(59)
+        state = init_gauge_state(random_state(32, rng), cover)
+        state = apply_commuting_layer(
+            state, {Patch((0, 1, 2)): random_unitary(8, rng), Patch((3, 4)): random_unitary(4, rng)}
+        )
+        gates = {
+            p: np.diag(np.exp(1j * rng.uniform(-np.pi, np.pi, p.dim)))
+            for p in [Patch((0, 1, 2)), Patch((1, 4)), Patch((2, 3))]  # sorted, as the layer takes them
+        }
+        new = apply_commuting_layer(state, gates)
+        assert np.array_equal(new.frame_stack, eager_layer_frames(state, gates))
+
+    @pytest.mark.parametrize("offset", [0, 1])
+    def test_dressed_state_matches_eager_formula_bitwise(self, offset):
+        n = 6
+        cover = nn_pair_cover(n)
+        rng = np.random.default_rng(61)
+        state = run_circuit(init_gauge_state(random_state(2**n, rng), cover), brickwork(n, 2, 67))
+        # dress every other patch, so dressed and undressed gates share a layer
+        dressed = gauge_transform(
+            state, GaugeTransform({p: random_unitary(2**n, rng) for p in cover.patches[::2]})
+        )
+        gates = self._brickwork_gates(n, offset, rng)
+        new = apply_commuting_layer(dressed, gates)
+        assert np.array_equal(new.frame_stack, eager_layer_frames(dressed, gates))
 
 
 class TestDiagnostics:

@@ -207,3 +207,13 @@ def test_random_unitary_is_unitary_and_seeded():
     u2 = random_unitary(8, np.random.default_rng(9))
     assert unitarity_defect(u1) < 1e-13
     assert np.array_equal(u1, u2)
+
+
+@pytest.mark.parametrize("dim", [1, 8, 128])
+@pytest.mark.parametrize("eps", [0.0, 1e-14, 1e-3])
+def test_unitarity_defect_equals_the_dense_formula_exactly(dim, eps):
+    rng = np.random.default_rng(dim)
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    m = random_unitary(dim, rng) + eps * z
+    want = float(np.linalg.norm(m.conj().T @ m - np.eye(dim)))
+    assert unitarity_defect(m) == want
