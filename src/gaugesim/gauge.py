@@ -29,7 +29,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import asdict, dataclass, replace as dc_replace
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -206,13 +206,10 @@ class GaugeState:
 
     def consistency(self) -> float:
         """max over pairs ||U_IJ psi_J - psi_I||; no unitarity, norm or cocycle sweep."""
-        patches = self.cover.patches
+        psi = [self.psi[p] for p in self.cover.patches]
         consistency = 0.0
-        for i, j in self._consistency_pairs():
-            w = self._transport(i, j, self.psi[patches[j]])
-            consistency = max(
-                consistency, float(np.linalg.norm(w - self.psi[patches[i]]))
-            )
+        for i, w in self._transported(psi):
+            consistency = max(consistency, float(np.linalg.norm(w - psi[i])))
         return consistency
 
     def diagnostics(self, include_cocycle: bool = True) -> DefectReport:
@@ -270,11 +267,12 @@ class GeneratorState(GaugeState):
     def _connection(self, i: int, j: int) -> np.ndarray:
         return self.frame_stack[i] @ self.frame_stack[j].conj().T
 
-    def _consistency_pairs(self) -> Iterable[tuple[int, int]]:
-        return itertools.combinations(range(len(self.cover)), 2)
-
-    def _transport(self, i: int, j: int, vec: np.ndarray) -> np.ndarray:
-        return self.frame_stack[i] @ (self.frame_stack[j].conj().T @ vec)
+    def _transported(self, psi: list[np.ndarray]) -> Iterator[tuple[int, np.ndarray]]:
+        """(i, U_I U_J^dag psi_J) for every pair i < j, with U_J^dag psi_J formed once per J."""
+        frames = self.frame_stack
+        pulled = [u.conj().T @ v for u, v in zip(frames, psi)]
+        for i, j in itertools.combinations(range(len(psi)), 2):
+            yield i, frames[i] @ pulled[j]
 
     def _unitarity_matrices(self) -> Iterable[np.ndarray]:
         return self.frame_stack
@@ -300,10 +298,14 @@ class GeneratorState(GaugeState):
             time=t_next, steps=new_steps, psi=dict(zip(plan.patches, psi)), frame_stack=frames
         )
 
-    def _transformed(self, factors: list[np.ndarray], dressing: dict) -> "GeneratorState":
+    def _transformed(self, factors: list[np.ndarray | None], dressing: dict) -> "GeneratorState":
+        """U_I -> F_I U_I; None stands for the identity and keeps the frame."""
         frames = np.empty_like(self.frame_stack)
-        for i, f in enumerate(factors):
-            np.matmul(f, self.frame_stack[i], out=frames[i])
+        for f, u, out in zip(factors, self.frame_stack, frames):
+            if f is None:
+                out[...] = u
+            else:
+                np.matmul(f, u, out=out)
         return self._with_frames(frames, dressing=dressing)
 
     def _layered(self, gates: dict[Patch, np.ndarray]) -> "GeneratorState":
@@ -313,16 +315,37 @@ class GeneratorState(GaugeState):
         from the first patch that multiplies by it to the last, so on a chain
         at most two sandwiches and one scratch matrix are alive next to the
         two frame stacks. A gate's own patch takes U S_g = D G V locally.
+
+        Where I and every gate near it have undressed identity frames, S_g is
+        the embedded gate itself, so U_I is the product G_I G_1 G_2 ... of the
+        local gates (own gate first, then the near gates in layer order), built
+        right to left by `apply_local` with no D x D product. Only the patches
+        that multiply sandwiches count as their users.
         """
         cover, n, old = self.cover, self.n_sites, self.frame_stack
+        patches = cover.patches
         frames = np.empty_like(old)
-        users = {gp: len(cover.overlapping(gp)) - 1 for gp in gates}  # patches yet to use S_g
+        near = [[gp for gp in gates if gp != p and gp.overlaps(p)] for p in patches]
+
+        @functools.cache
+        def fresh(i: int) -> bool:  # an undressed, exactly identity frame
+            return self.dressing_of(patches[i]) is None and _is_identity(old[i])
+
+        local = [
+            bool(nr) and fresh(i) and all(fresh(cover.index(gp)) for gp in nr)
+            for i, nr in enumerate(near)
+        ]
+        users = {  # patches yet to multiply by S_g
+            gp: sum(gp in nr for nr, loc in zip(near, local) if not loc) for gp in gates
+        }
         sandwiches: dict[Patch, np.ndarray] = {}
         for gp, g in gates.items():
             j = cover.index(gp)
+            if local[j] and not users[gp]:
+                continue  # the walk builds this slot and no sandwich reads it
             d = self.dressing_of(gp)
             if d is None:
-                frames[j] = apply_local(g, gp, n, old[j])  # G V, read again by S_g
+                apply_local(g, gp, n, old[j], out=frames[j])  # G V, read again by S_g
             else:
                 v = d.conj().T @ old[j]
                 gv = apply_local(g, gp, n, v)
@@ -338,11 +361,17 @@ class GeneratorState(GaugeState):
                 sandwiches[gp] = scratch.T @ frames[j]
             return sandwiches[gp]
 
-        for i, p in enumerate(cover.patches):
-            near = [gp for gp in gates if gp != p and gp.overlaps(p)]
-            if near and users.get(p):
-                sandwich(p)  # read G V before the slot is multiplied below
-            mats = [sandwich(gp) for gp in near]
+        for i, p in enumerate(patches):
+            if near[i] and users.get(p):
+                sandwich(p)  # read G V before the slot is overwritten below
+            if local[i]:
+                ops = ([p] if p in gates else []) + near[i]
+                src = old[i]  # the identity
+                for k, gp in enumerate(reversed(ops)):  # the last product lands in the slot
+                    dst = frames[i] if (len(ops) - k) % 2 else scratch
+                    src = apply_local(gates[gp], gp, n, src, out=dst)
+                continue
+            mats = [sandwich(gp) for gp in near[i]]
             w = mats[0] if mats else None
             for s in mats[1:]:
                 w = np.matmul(w, s, out=scratch)
@@ -353,7 +382,7 @@ class GeneratorState(GaugeState):
                 frames[i] = old[i]
             else:
                 np.matmul(old[i], w, out=frames[i])
-            for gp in near:
+            for gp in near[i]:
                 users[gp] -= 1
                 if not users[gp]:
                     del sandwiches[gp]
@@ -427,8 +456,10 @@ class DirectState(GaugeState):
             out = out @ _oriented(self.connections, u, v)
         return out
 
-    def _consistency_pairs(self) -> Iterable[tuple[int, int]]:
-        return self.keys
+    def _transported(self, psi: list[np.ndarray]) -> Iterator[tuple[int, np.ndarray]]:
+        """(i, U_IJ psi_J) for every stored connection (i, j)."""
+        for (i, j), c in self.connections.items():
+            yield i, c @ psi[j]
 
     def _transport(self, i: int, j: int, vec: np.ndarray) -> np.ndarray:
         return _oriented(self.connections, i, j) @ vec
@@ -496,7 +527,7 @@ class DirectState(GaugeState):
             out[...] = c if ops[i] is None else ops[i] @ c
         return self._replace(packed=packed, **kw)
 
-    def _transformed(self, factors: list[np.ndarray], dressing: dict) -> "DirectState":
+    def _transformed(self, factors: list[np.ndarray | None], dressing: dict) -> "DirectState":
         return self._rotated(factors, dressing=dressing)
 
     def _layered(self, gates: dict[Patch, np.ndarray]) -> "DirectState":
@@ -689,6 +720,11 @@ def _frame_rhs(
             dframes[i] *= -1j  # while the product is still in cache
 
 
+def _is_identity(m: np.ndarray) -> bool:
+    """True iff m is exactly the identity; a dense m fails on its diagonal in microseconds."""
+    return bool(np.all(m.diagonal() == 1)) and np.count_nonzero(m) == m.shape[0]
+
+
 def _require_finite(a: np.ndarray, time: float, steps: int) -> None:
     if not np.all(np.isfinite(a)):
         raise DivergenceError(
@@ -749,13 +785,19 @@ def evolve(
 
 
 def gauge_transform(state: GaugeState, transform: GaugeTransform) -> GaugeState:
-    """Apply a per-patch unitary frame change; all physical quantities invariant."""
+    """Apply a per-patch unitary frame change; all physical quantities invariant.
+
+    Patches the transform does not name keep their frames and dressing.
+    """
     n = state.n_sites
-    factors = [transform.factor(p, n) for p in state.cover.patches]
-    new_dressing = {}
+    factors = [
+        transform.factor(p, n) if p in transform.lambdas else None for p in state.cover.patches
+    ]
+    new_dressing = dict(state.dressing)
     for p, f in zip(state.cover.patches, factors):
-        d = state.dressing_of(p)
-        new_dressing[p] = f if d is None else f @ d
+        if f is not None:
+            d = state.dressing_of(p)
+            new_dressing[p] = f if d is None else f @ d
     return state._transformed(factors, new_dressing)
 
 
@@ -793,7 +835,10 @@ def apply_commuting_layer(
     In generator mode the layer holds the input and output frame stacks plus
     (s + 1) D x D matrices, s being the most gate sandwiches V^dag G V alive
     at once: each is formed when the first patch needs it and freed after the
-    last (s = 2 on a chain brickwork).
+    last (s = 2 on a chain brickwork). A patch whose frame and near gates'
+    frames are still the undressed identity costs only `apply_local` work,
+    so the first layer of a circuit from `init_gauge_state` makes no dense
+    D x D product.
     """
     checked: dict[Patch, np.ndarray] = {}  # in sorted patch order
     for patch in sorted(gates):

@@ -162,10 +162,12 @@ def _site_tuple(where: Patch | Iterable[int]) -> tuple[int, ...]:
     return where.sites if isinstance(where, Patch) else Patch(where).sites
 
 
-def apply_local(op, where: Patch | Iterable[int], n: int, target) -> np.ndarray:
+def apply_local(op, where: Patch | Iterable[int], n: int, target, out=None) -> np.ndarray:
     """embed(op) @ target for a vector or matrix target, without forming embed(op).
 
-    Cost scales as 4^n * 2^k instead of 8^n for a dense product.
+    Cost scales as 4^n * 2^k instead of 8^n for a dense product. The result
+    is written into `out` (a C-contiguous complex array of the target's
+    shape) when given, else into a fresh array, and returned.
     """
     sites = _site_tuple(where)
     op = as_operator(op)
@@ -178,21 +180,32 @@ def apply_local(op, where: Patch | Iterable[int], n: int, target) -> np.ndarray:
     dim = 2**n
     if target.shape[0] != dim:
         raise ContractError(f"target dim {target.shape[0]} != 2^{n}")
+    if out is not None and (
+        out.shape != target.shape or out.dtype != np.complex128 or not out.flags.c_contiguous
+    ):
+        raise ContractError(
+            f"out must be a C-contiguous complex128 array of shape {target.shape}"
+        )
     cols = 1 if target.ndim == 1 else target.shape[1]
     lo, hi = sites[0], sites[-1]
     if hi - lo + 1 == k:
         # a contiguous block of sites is the middle factor of the row index
         # (sites above, block, sites below): no axes need to move
-        blocks = target.reshape(2 ** (n - 1 - hi), 2**k, 2**lo * cols)
-        return np.matmul(op, blocks).reshape(target.shape)
+        shape = (2 ** (n - 1 - hi), 2**k, 2**lo * cols)
+        if out is None:
+            return np.matmul(op, target.reshape(shape)).reshape(target.shape)
+        np.matmul(op, target.reshape(shape), out=out.reshape(shape))
+        return out
     # axis t of the [2]*n row view holds site n-1-t; op axis j holds sites[k-1-j]
     src_axes = [n - 1 - s for s in reversed(sites)]
-    tensor = target.reshape([2] * n + ([cols] if target.ndim == 2 else []))
-    tensor = np.moveaxis(tensor, src_axes, range(k))
-    shape = tensor.shape
-    out = op @ tensor.reshape(2**k, -1)
-    out = np.moveaxis(out.reshape(shape), range(k), src_axes)
-    return out.reshape(target.shape)
+    row_shape = [2] * n + ([cols] if target.ndim == 2 else [])
+    tensor = np.moveaxis(target.reshape(row_shape), src_axes, range(k))
+    moved = op @ tensor.reshape(2**k, -1)
+    moved = np.moveaxis(moved.reshape(tensor.shape), range(k), src_axes)
+    if out is None:
+        return moved.reshape(target.shape)
+    out.reshape(row_shape)[...] = moved
+    return out
 
 
 def embed_operator(op, where: Patch | Iterable[int], n: int) -> np.ndarray:

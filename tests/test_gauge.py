@@ -480,6 +480,28 @@ class TestGaugeTransform:
         with pytest.raises(ContractError):
             GaugeTransform({Patch((0, 1)): np.ones((4, 4))})
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_partial_transform_leaves_other_patches_alone(self, mode):
+        h = tfim_chain(4, 1.0, 1.0)
+        state = init_gauge_state(plus_state(4), h.cover, mode=mode, hamiltonian=h)
+        state = evolve(state, h, 0.05, CFG)
+        moved = Patch((1, 2))
+        u = random_unitary(4, np.random.default_rng(83))
+        new = gauge_transform(state, GaugeTransform({moved: u}))
+        # the same transform with an explicit identity factor on every other patch
+        eye = np.eye(16, dtype=complex)
+        full = gauge_transform(
+            state, GaugeTransform({p: u if p == moved else eye for p in h.cover.patches})
+        )
+        assert [p for p in h.cover.patches if new.dressing_of(p) is not None] == [moved]
+        assert np.array_equal(new.dressing_of(moved), full.dressing_of(moved))
+        for p in h.cover.patches:
+            assert np.array_equal(new.psi[p], full.psi[p])
+        if mode == GENERATOR:
+            assert np.array_equal(new.frame_stack, full.frame_stack)
+        else:
+            assert np.array_equal(new.packed, full.packed)
+
     def test_evolution_after_transform_stays_physical(self):
         # transform at t=0, evolve in the transformed gauge, observables agree
         h = tfim_chain(3, 1.0, 1.0)
@@ -681,6 +703,70 @@ class TestStreamedLayer:
         gates = self._brickwork_gates(n, offset, rng)
         new = apply_commuting_layer(dressed, gates)
         assert np.array_equal(new.frame_stack, eager_layer_frames(dressed, gates))
+
+    @staticmethod
+    def _x_basis_gates(patches, rng):
+        """Gates diagonal in the product X basis, so overlapping ones commute."""
+        hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+        gates = {}
+        for p in patches:
+            h = functools.reduce(np.kron, [hadamard] * len(p))
+            gates[p] = h @ np.diag(np.exp(1j * rng.uniform(-np.pi, np.pi, p.dim))) @ h
+        return gates
+
+    def test_fresh_layer_makes_no_dense_product(self):
+        n = 6
+        dim = 2**n
+        dense = []
+
+        class Counting(np.ndarray):
+            """Records every matmul of two D x D operands made with a frame of the stack."""
+
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                inputs = [np.asarray(a) for a in inputs]
+                if ufunc is np.matmul and all(a.shape == (dim, dim) for a in inputs):
+                    dense.append(1)
+                if "out" in kwargs:
+                    kwargs["out"] = tuple(np.asarray(o) for o in kwargs["out"])
+                return getattr(ufunc, method)(*inputs, **kwargs)
+
+        rng = np.random.default_rng(79)
+        state = init_gauge_state(random_state(dim, rng), nn_pair_cover(n))
+        state = state._replace(frame_stack=state.frame_stack.view(Counting))
+        first = apply_commuting_layer(state, self._brickwork_gates(n, 0, rng))
+        assert type(first.frame_stack) is Counting and not dense
+        apply_commuting_layer(first, self._brickwork_gates(n, 1, rng))
+        assert dense  # the counter sees the products of a layer on dense frames
+
+    @pytest.mark.parametrize("offset", [0, 1])
+    @pytest.mark.parametrize("prepare", ["fresh", "half_fresh", "partial_transform"])
+    def test_identity_frames_match_eager_formula_bitwise(self, prepare, offset):
+        n = 6
+        rng = np.random.default_rng(71)
+        state = init_gauge_state(random_state(2**n, rng), nn_pair_cover(n))
+        if prepare == "half_fresh":
+            # only the frames of (0, 1) and (1, 2) leave the identity
+            state = apply_commuting_layer(state, {Patch((0, 1)): random_unitary(4, rng)})
+        elif prepare == "partial_transform":
+            # (2, 3) is dressed, so its gate and the patches it touches take the general path
+            transform = GaugeTransform({Patch((2, 3)): random_unitary(4, rng)})
+            state = gauge_transform(state, transform)
+        gates = self._brickwork_gates(n, offset, rng)
+        new = apply_commuting_layer(state, gates)
+        assert np.array_equal(new.frame_stack, eager_layer_frames(state, gates))
+
+    @pytest.mark.parametrize(
+        "gate_patches", [[(0, 1, 2), (1, 4), (2, 3)], [(0, 1, 2), (1, 4), (2, 3), (3, 4)]]
+    )
+    def test_fresh_explicit_cover_with_overlapping_gates_matches_eager_formula_bitwise(
+        self, gate_patches
+    ):
+        cover = PatchCover(5, [(0, 1, 2), (2, 3), (3, 4), (1, 4)])
+        rng = np.random.default_rng(73)
+        state = init_gauge_state(random_state(32, rng), cover)
+        gates = self._x_basis_gates(sorted(Patch(p) for p in gate_patches), rng)
+        new = apply_commuting_layer(state, gates)
+        assert np.array_equal(new.frame_stack, eager_layer_frames(state, gates))
 
 
 class TestDiagnostics:
@@ -938,7 +1024,7 @@ class TestTracedNames:
             ("step", ["state", "hml", "config"]),
             ("rk4_step", ["y", "t", "dt", "deriv"]),
             ("polar_unitary", ["m", "tol", "max_iter"]),
-            ("apply_local", ["op", "where", "n", "target"]),
+            ("apply_local", ["op", "where", "n", "target", "out"]),
             ("unitarity_defect", ["m"]),
         ],
     )

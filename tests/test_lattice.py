@@ -177,3 +177,21 @@ class TestOperatorSupport:
         a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         sites = tuple(sorted(rng.choice(5, size=2, replace=False)))
         assert operator_support(embed_operator(a, Patch(sites), 5)) <= set(sites)
+
+    @pytest.mark.parametrize("sites", [(1, 2), (1, 3)])
+    def test_out_receives_the_fresh_result(self, sites):
+        rng = np.random.default_rng(17)
+        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        for target in (
+            rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)),
+            rng.standard_normal(16) + 1j * rng.standard_normal(16),
+        ):
+            out = np.empty_like(target)
+            assert apply_local(a, sites, 4, target, out=out) is out
+            assert np.array_equal(out, apply_local(a, sites, 4, target))
+
+    def test_out_of_the_wrong_layout_raises(self):
+        m = np.eye(16, dtype=complex)
+        for out in (np.empty((16, 8), complex), np.empty((16, 16)), np.empty((16, 16), complex).T):
+            with pytest.raises(ContractError, match="out must be"):
+                apply_local(np.eye(4), (1, 2), 4, m, out=out)
