@@ -311,77 +311,84 @@ class GeneratorState(GaugeState):
     def _layered(self, gates: dict[Patch, np.ndarray]) -> "GeneratorState":
         """U_I -> U_I prod_(gates g near I) S_g, with S_g = V_g^dag G V_g and V = D^dag U.
 
-        Patches are updated in cover order and each sandwich S_g lives only
-        from the first patch that multiplies by it to the last, so on a chain
-        at most two sandwiches and one scratch matrix are alive next to the
-        two frame stacks. A gate's own patch takes U S_g = D G V locally.
+        Every factor is window-local, exactly 1 (x) core (x) 1 with its core on
+        a range of sites (`_window`; a dressed frame counts as spanning the
+        chain). S_g is formed on the hull of V_g's range and g's sites, and a
+        patch's product on the hull of its own range and its factors', in the
+        eager formula's order: the near sandwiches left to right into W, then
+        U W (a gate's own patch takes D G V W). A hull short of the chain is
+        multiplied at its own size and written into the frame slot.
 
-        Where I and every gate near it have undressed identity frames, S_g is
-        the embedded gate itself, so U_I is the product G_I G_1 G_2 ... of the
-        local gates (own gate first, then the near gates in layer order), built
-        right to left by `apply_local` with no D x D product. Only the patches
-        that multiply sandwiches count as their users.
+        A hull spanning the chain is the dense product of D x D lifts: G V is
+        written into the slot and S_g is formed from it when the first patch
+        needs it and freed after the last, so on a chain at most two
+        sandwiches (or lifts) and one scratch matrix are alive next to the
+        two frame stacks.
         """
         cover, n, old = self.cover, self.n_sites, self.frame_stack
         patches = cover.patches
         frames = np.empty_like(old)
         near = [[gp for gp in gates if gp != p and gp.overlaps(p)] for p in patches]
+        users = {gp: sum(gp in nr for nr in near) for gp in gates}  # yet to multiply by S_g
 
         @functools.cache
-        def fresh(i: int) -> bool:  # an undressed, exactly identity frame
-            return self.dressing_of(patches[i]) is None and _is_identity(old[i])
+        def window(i: int) -> Window:
+            if self.dressing_of(patches[i]) is None:
+                return _window(old[i])
+            return 0, n - 1, old[i]
 
-        local = [
-            bool(nr) and fresh(i) and all(fresh(cover.index(gp)) for gp in nr)
-            for i, nr in enumerate(near)
-        ]
-        users = {  # patches yet to multiply by S_g
-            gp: sum(gp in nr for nr, loc in zip(near, local) if not loc) for gp in gates
-        }
-        sandwiches: dict[Patch, np.ndarray] = {}
+        own: dict[Patch, Window | None] = {}  # D G V of each gate patch; None: in its slot
+        sandwiches: dict[Patch, Window] = {}
         for gp, g in gates.items():
             j = cover.index(gp)
-            if local[j] and not users[gp]:
-                continue  # the walk builds this slot and no sandwich reads it
             d = self.dressing_of(gp)
-            if d is None:
-                apply_local(g, gp, n, old[j], out=frames[j])  # G V, read again by S_g
-            else:
+            lo, hi = _hull(window(j), (gp.sites[0], gp.sites[-1]))
+            if d is not None:
                 v = d.conj().T @ old[j]
                 gv = apply_local(g, gp, n, v)
                 if users[gp]:  # G V is not kept, so S_g is formed now
-                    sandwiches[gp] = v.conj().T @ gv
+                    sandwiches[gp] = (0, n - 1, v.conj().T @ gv)
                 np.matmul(d, gv, out=frames[j])
+                own[gp] = None
+            elif hi - lo + 1 == n:
+                apply_local(g, gp, n, old[j], out=frames[j])  # G V, read again by S_g
+                own[gp] = None
+            else:
+                v = _lift(window(j), lo, hi)
+                gv = apply_local(g, [s - lo for s in gp.sites], hi - lo + 1, v)
+                own[gp] = (lo, hi, gv)
+                if users[gp]:
+                    sandwiches[gp] = (lo, hi, v.conj().T @ gv)
         scratch = np.empty_like(old[0])  # conj(V), then a patch's product of sandwiches
 
-        def sandwich(gp: Patch) -> np.ndarray:
+        def sandwich(gp: Patch) -> Window:
             if gp not in sandwiches:
                 j = cover.index(gp)
                 np.conjugate(old[j], out=scratch)
-                sandwiches[gp] = scratch.T @ frames[j]
+                sandwiches[gp] = (0, n - 1, scratch.T @ frames[j])
             return sandwiches[gp]
 
         for i, p in enumerate(patches):
-            if near[i] and users.get(p):
-                sandwich(p)  # read G V before the slot is overwritten below
-            if local[i]:
-                ops = ([p] if p in gates else []) + near[i]
-                src = old[i]  # the identity
-                for k, gp in enumerate(reversed(ops)):  # the last product lands in the slot
-                    dst = frames[i] if (len(ops) - k) % 2 else scratch
-                    src = apply_local(gates[gp], gp, n, src, out=dst)
+            slot = frames[i]
+            if not near[i]:
+                if p not in gates:
+                    slot[...] = old[i]
+                elif own[p] is not None:
+                    _lift(own.pop(p), 0, n - 1, out=slot)
                 continue
+            if users.get(p):
+                sandwich(p)  # read G V before the slot is overwritten below
             mats = [sandwich(gp) for gp in near[i]]
-            w = mats[0] if mats else None
+            w = mats[0]
             for s in mats[1:]:
-                w = np.matmul(w, s, out=scratch)
-            if p in gates:
-                if w is not None:
-                    frames[i] = frames[i] @ w
-            elif w is None:
-                frames[i] = old[i]
+                w = _mul(w, s, n, out=scratch)
+            if p in gates:  # G V may sit in the slot, so the product is not written there
+                left, out = own.pop(p) or (0, n - 1, slot), None
             else:
-                np.matmul(old[i], w, out=frames[i])
+                left, out = window(i), slot
+                if _hull(left, w) == (0, n - 1):
+                    left = (0, n - 1, old[i])  # the frame is its own lift
+            _lift(_mul(left, w, n, out=out), 0, n - 1, out=slot)
             for gp in near[i]:
                 users[gp] -= 1
                 if not users[gp]:
@@ -720,9 +727,81 @@ def _frame_rhs(
             dframes[i] *= -1j  # while the product is still in cache
 
 
-def _is_identity(m: np.ndarray) -> bool:
-    """True iff m is exactly the identity; a dense m fails on its diagonal in microseconds."""
-    return bool(np.all(m.diagonal() == 1)) and np.count_nonzero(m) == m.shape[0]
+Window = tuple[int, int, np.ndarray]  # (lo, hi, core): 1 (x) core (x) 1, core on sites lo..hi
+
+
+def _window(m: np.ndarray) -> Window:
+    """m as a window-local operator, exactly 1 (x) core (x) 1.
+
+    Identity sites are stripped by value from the top (most significant)
+    site down, then from site 0 up, on ever smaller views of m; an identity
+    m gives an empty range and a 1 x 1 core. One off-block entry is probed
+    before each comparison, so a dense m fails in microseconds.
+    """
+    lo, hi, core = 0, m.shape[0].bit_length() - 2, m
+    for top in (True, False):
+        while lo <= hi:
+            half = core.shape[0] // 2
+            if top:
+                blocks = core.reshape(2, half, 2, half)
+            else:
+                blocks = core.reshape(half, 2, half, 2).transpose(1, 0, 3, 2)
+            # blocks[a, :, b, :]: the rows with bit a and the columns with bit b on the site
+            if (
+                blocks[0, 0, 1, 0] != 0
+                or blocks[0, :, 1].any()
+                or blocks[1, :, 0].any()
+                or not np.array_equal(blocks[0, :, 0], blocks[1, :, 1])
+            ):
+                break
+            core = blocks[0, :, 0]
+            hi, lo = (hi - 1, lo) if top else (hi, lo + 1)
+    return lo, hi, core
+
+
+def _hull(*ranges: tuple) -> tuple[int, int]:
+    """The smallest range of sites holding every nonempty (lo, hi, ...) range."""
+    spans = [r[:2] for r in ranges if r[0] <= r[1]]
+    return min(lo for lo, _ in spans), max(hi for _, hi in spans)
+
+
+def _lift(w: Window, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
+    """w as a matrix on sites lo..hi, a hull of its range.
+
+    Into `out` it is a zero fill plus one strided assignment of the core to
+    every diagonal block, with no product.
+    """
+    wlo, whi, core = w
+    if (wlo, whi) == (lo, hi):
+        if out is None or core is out:
+            return core
+        out[...] = core
+        return out
+    if wlo > whi:  # an empty range sits anywhere in the hull
+        wlo, whi = lo, lo - 1
+    dim, c, below = 2 ** (hi - lo + 1), core.shape[0], 2 ** (wlo - lo)
+    if out is None:
+        out = np.zeros((dim, dim), dtype=np.complex128)
+    else:
+        out.fill(0)
+    rows, cols = out.strides
+    np.lib.stride_tricks.as_strided(
+        out,
+        (2 ** (hi - whi), below, c, c),
+        (c * below * (rows + cols), rows + cols, below * rows, below * cols),
+    )[...] = core
+    return out
+
+
+def _mul(a: Window, b: Window, n: int, out: np.ndarray | None = None) -> Window:
+    """a @ b on the hull of their ranges.
+
+    A hull short of the n-site chain is multiplied at its own size; a hull
+    spanning it is the dense product of the lifts, written into `out` if given.
+    """
+    lo, hi = _hull(a, b)
+    out = out if hi - lo + 1 == n else None
+    return lo, hi, np.matmul(_lift(a, lo, hi), _lift(b, lo, hi), out=out)
 
 
 def _require_finite(a: np.ndarray, time: float, steps: int) -> None:
@@ -787,8 +866,12 @@ def evolve(
 def gauge_transform(state: GaugeState, transform: GaugeTransform) -> GaugeState:
     """Apply a per-patch unitary frame change; all physical quantities invariant.
 
-    Patches the transform does not name keep their frames and dressing.
+    Patches the transform does not name keep their frames and dressing; a
+    factor on a patch outside the cover is a ContractError.
     """
+    for p in transform.lambdas:
+        if p not in state.cover:
+            raise ContractError(f"gauge factor on {p}: not a patch of the cover")
     n = state.n_sites
     factors = [
         transform.factor(p, n) if p in transform.lambdas else None for p in state.cover.patches
@@ -832,13 +915,17 @@ def apply_commuting_layer(
     transported into its frame; connections between updated patches are
     conjugated accordingly. Patches away from every gate are untouched.
 
-    In generator mode the layer holds the input and output frame stacks plus
-    (s + 1) D x D matrices, s being the most gate sandwiches V^dag G V alive
-    at once: each is formed when the first patch needs it and freed after the
-    last (s = 2 on a chain brickwork). A patch whose frame and near gates'
-    frames are still the undressed identity costs only `apply_local` work,
-    so the first layer of a circuit from `init_gauge_state` makes no dense
-    D x D product.
+    In generator mode every product is formed on the smallest range of sites
+    that holds its factors: a frame that is exactly the identity outside a
+    window of sites is multiplied through its window's core, so the frames
+    of a brickwork circuit from `init_gauge_state` cost products of the size
+    of their light cones, not D x D ones, until a cone spans the chain. Such
+    a layer holds the two frame stacks plus window-sized temporaries and one
+    D x D scratch matrix. A product spanning the chain is the dense one, and
+    a layer of those holds the two stacks plus (s + 1) D x D matrices, s
+    being the most gate sandwiches V^dag G V alive at once: each is formed
+    when the first patch needs it and freed after the last (s = 2 on a
+    chain brickwork).
     """
     checked: dict[Patch, np.ndarray] = {}  # in sorted patch order
     for patch in sorted(gates):

@@ -421,6 +421,7 @@ class TestRepoConfigs:
             "validate_tfim_n6.json",
             "evolve_heisenberg.json",
             "measure_site3.json",
+            "circuit_audit_n10.json",
         ],
     )
     def test_shipped_configs_run_clean(self, tmp_path, name):
@@ -428,7 +429,9 @@ class TestRepoConfigs:
         out = tmp_path / "out.jsonl"
         code = main([scenario, "--config", str(CONFIGS / name), "--out", str(out)])
         assert code == EXIT_OK
-        for record in read_records(out):
+        records = read_records(out)
+        assert records[-1]["type"] == "summary" and records[-1]["status"] == "pass"
+        for record in records:
             jsonschema.validate(record, SCHEMA)
 
     def test_golden_example_structure_matches_regeneration(self, tmp_path):

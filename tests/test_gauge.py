@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import gaugesim.gauge as gauge_module
-from gaugesim.circuits import brickwork, run_circuit
+from gaugesim.circuits import LightConePrediction, brickwork, circuit_reference, run_circuit
 from gaugesim.errors import ContractError, DivergenceError
 from gaugesim.gauge import (
     DIRECT,
@@ -38,7 +38,14 @@ from gaugesim.hamiltonian import (
     tfim_chain,
     tfim_chain_sitewise,
 )
-from gaugesim.lattice import Patch, PatchCover, embed_operator, nn_pair_cover, single_site_cover
+from gaugesim.lattice import (
+    Patch,
+    PatchCover,
+    embed_operator,
+    nn_pair_cover,
+    single_site_cover,
+    site_identity_defects,
+)
 from gaugesim.linalg import frobenius_distance, polar_unitary, random_unitary
 from gaugesim.reference import (
     heisenberg_expectation,
@@ -481,6 +488,18 @@ class TestGaugeTransform:
             GaugeTransform({Patch((0, 1)): np.ones((4, 4))})
 
     @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize(
+        "sites, dim, message",
+        [((1, 2), 8, "has dim 8"), ((0, 3), 4, r"Patch\(0, 3\): not a patch of the cover")],
+    )
+    def test_misplaced_factor_raises(self, mode, sites, dim, message):
+        # a factor of the wrong dimension, or on a patch outside the cover
+        state = init_gauge_state(plus_state(4), nn_pair_cover(4), mode=mode)
+        u = random_unitary(dim, np.random.default_rng(89))
+        with pytest.raises(ContractError, match=message):
+            gauge_transform(state, GaugeTransform({Patch(sites): u}))
+
+    @pytest.mark.parametrize("mode", MODES)
     def test_partial_transform_leaves_other_patches_alone(self, mode):
         h = tfim_chain(4, 1.0, 1.0)
         state = init_gauge_state(plus_state(4), h.cover, mode=mode, hamiltonian=h)
@@ -637,6 +656,23 @@ class TestCommutingLayers:
         assert new.diagnostics().consistency < 1e-12
 
 
+def _dense_product_counter(dim):
+    """An ndarray subclass and the list it appends to on every matmul of two
+    D x D operands made with one of its arrays (a frame of the stack)."""
+    dense = []
+
+    class Counting(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            inputs = [np.asarray(a) for a in inputs]
+            if ufunc is np.matmul and all(a.shape == (dim, dim) for a in inputs):
+                dense.append(1)
+            if "out" in kwargs:
+                kwargs["out"] = tuple(np.asarray(o) for o in kwargs["out"])
+            return getattr(ufunc, method)(*inputs, **kwargs)
+
+    return Counting, dense
+
+
 class TestStreamedLayer:
     """The layer forms each sandwich on demand and frees it after its last user."""
 
@@ -717,19 +753,7 @@ class TestStreamedLayer:
     def test_fresh_layer_makes_no_dense_product(self):
         n = 6
         dim = 2**n
-        dense = []
-
-        class Counting(np.ndarray):
-            """Records every matmul of two D x D operands made with a frame of the stack."""
-
-            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-                inputs = [np.asarray(a) for a in inputs]
-                if ufunc is np.matmul and all(a.shape == (dim, dim) for a in inputs):
-                    dense.append(1)
-                if "out" in kwargs:
-                    kwargs["out"] = tuple(np.asarray(o) for o in kwargs["out"])
-                return getattr(ufunc, method)(*inputs, **kwargs)
-
+        Counting, dense = _dense_product_counter(dim)
         rng = np.random.default_rng(79)
         state = init_gauge_state(random_state(dim, rng), nn_pair_cover(n))
         state = state._replace(frame_stack=state.frame_stack.view(Counting))
@@ -767,6 +791,114 @@ class TestStreamedLayer:
         gates = self._x_basis_gates(sorted(Patch(p) for p in gate_patches), rng)
         new = apply_commuting_layer(state, gates)
         assert np.array_equal(new.frame_stack, eager_layer_frames(state, gates))
+
+
+class TestWindowedLayer:
+    """A layer multiplies window-local frames on the hull of their site ranges."""
+
+    def test_frames_are_exactly_identity_outside_the_light_cone(self):
+        n = 8
+        rng = np.random.default_rng(101)
+        state = init_gauge_state(random_state(2**n, rng), nn_pair_cover(n))
+        circ = brickwork(n, 4, 103)
+        outside = 0
+        for depth in range(1, circ.depth + 1):
+            state = apply_commuting_layer(state, circ.layer_gates(depth - 1))
+            for p, frame in state.frames.items():
+                allowed = LightConePrediction.chain(p, depth, n).allowed_sites
+                defects = site_identity_defects(frame)
+                for s in set(range(n)) - allowed:
+                    assert defects[s] == 0.0
+                    outside += 1
+        assert outside > 0
+
+    @pytest.mark.parametrize("n, depth, checked", [(8, 5, range(5)), (10, 3, [2])])
+    def test_layers_match_eager_formula_and_circuit_reference(self, n, depth, checked):
+        # at n = 10 only the last layer, whose hulls are widest, is checked
+        # against the eager formula's D x D products
+        rng = np.random.default_rng(107)
+        psi0 = random_state(2**n, rng)
+        cover = nn_pair_cover(n)
+        circ = brickwork(n, depth, 109)
+        state = init_gauge_state(psi0, cover)
+        for k in range(depth):
+            gates = circ.layer_gates(k)
+            new = apply_commuting_layer(state, gates)
+            if k in checked:
+                assert np.abs(new.frame_stack - eager_layer_frames(state, gates)).max() <= 1e-14
+            state = new
+        psi = circuit_reference(circ, cover, psi0).psi_schrodinger
+        zz = np.kron(PAULI_Z, PAULI_Z)
+        for p in cover.patches:
+            want = np.vdot(psi, embed_operator(zz, p, n) @ psi)
+            assert abs(state.local_expectation(p, zz) - want) < 1e-8
+
+    @pytest.mark.parametrize("offset", [0, 1])
+    def test_diagonal_frames_match_eager_formula_bitwise(self, offset):
+        # the off-diagonal site blocks of these frames vanish, yet no site is the identity
+        n = 6
+        rng = np.random.default_rng(139)
+        state = init_gauge_state(random_state(2**n, rng), nn_pair_cover(n))
+        phases = {
+            Patch((i, i + 1)): np.diag(np.exp(1j * rng.uniform(-np.pi, np.pi, 4)))
+            for i in (0, 2, 4)
+        }
+        state = apply_commuting_layer(state, phases)
+        gates = TestStreamedLayer._brickwork_gates(n, offset, rng)
+        new = apply_commuting_layer(state, gates)
+        assert np.array_equal(new.frame_stack, eager_layer_frames(state, gates))
+
+    @pytest.mark.parametrize("offset", [0, 1])
+    def test_dense_frames_match_eager_formula_bitwise(self, offset):
+        n = 6
+        h = tfim_chain(n, 1.0, 1.0)
+        rng = np.random.default_rng(113)
+        state = evolve(init_gauge_state(random_state(2**n, rng), h.cover), h, 0.01, CFG)
+        gates = TestStreamedLayer._brickwork_gates(n, offset, rng)
+        new = apply_commuting_layer(state, gates)
+        assert np.array_equal(new.frame_stack, eager_layer_frames(state, gates))
+
+    @pytest.mark.parametrize("offset", [0, 1])
+    def test_live_set_on_dense_frames_is_two_stacks_and_three_matrices(self, offset):
+        n = 8
+        h = tfim_chain(n, 1.0, 1.0)
+        rng = np.random.default_rng(127)
+        state = evolve(init_gauge_state(random_state(2**n, rng), h.cover), h, 0.002, CFG)
+        gates = TestStreamedLayer._brickwork_gates(n, offset, rng)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            apply_commuting_layer(state, gates)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        matrix = 16 * 4**n
+        assert peak <= (len(h.cover) + 3) * matrix + 256 * 1024
+
+    def test_partial_hulls_make_no_dense_product_or_temporary(self):
+        # after a depth-2 brickwork at n = 8 every frame spans at most 6 sites,
+        # and no hull of a layer on the odd bonds spans all 8
+        n = 8
+        dim = 2**n
+        Counting, dense = _dense_product_counter(dim)
+        rng = np.random.default_rng(131)
+        state = init_gauge_state(random_state(dim, rng), nn_pair_cover(n))
+        state = state._replace(frame_stack=state.frame_stack.view(Counting))
+        state = run_circuit(state, brickwork(n, 2, 137))
+        dense.clear()
+        gates = TestStreamedLayer._brickwork_gates(n, 1, rng)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            new = apply_commuting_layer(state, gates)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert type(new.frame_stack) is Counting and not dense
+        # the output stack and the scratch matrix, and less than half a matrix more
+        matrix = 16 * dim**2
+        assert peak <= (len(state.cover) + 1) * matrix + matrix // 2
+        assert np.abs(new.frame_stack - eager_layer_frames(state, gates)).max() <= 1e-14
 
 
 class TestDiagnostics:
