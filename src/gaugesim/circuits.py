@@ -221,7 +221,13 @@ def audit_lightcone(
     tol: float = 1e-12,
     include_connections: bool = True,
 ) -> LightConeAudit:
-    """Check that the patch's frame and connections stay inside the light cone."""
+    """Check that the patch's frame and connections stay inside the light cone.
+
+    Supports come from `site_identity_defects`, which reads each matrix
+    through its window core, and each connection is the product of the two
+    frames' cores on the hull of their windows. So a brickwork frame whose
+    cone falls short of the chain is audited without a D x D product.
+    """
     if not isinstance(state, GeneratorState):
         raise ContractError("light-cone audits need generator mode (frames required)")
     if patch not in state.cover:

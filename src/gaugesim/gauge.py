@@ -36,7 +36,18 @@ import numpy as np
 from .errors import ContractError, DivergenceError
 from .hamiltonian import LocalHamiltonian, StepPlan
 from .integrate import rk4_step, time_grid
-from .lattice import Patch, PatchCover, apply_local, embed_operator, operator_support
+from .lattice import (
+    Patch,
+    PatchCover,
+    Window,
+    _hull,
+    _lift,
+    _mul,
+    _window,
+    apply_local,
+    embed_operator,
+    operator_support,
+)
 from .linalg import as_state, polar_unitary, require_unitary, unitarity_defect
 
 GENERATOR = "generator"
@@ -89,7 +100,7 @@ class DefectReport:
 
     consistency: float  # max over pairs ||U_IJ psi_J - psi_I||
     cocycle: float  # max over triples ||U_IJ U_JK - U_IK||_F
-    unitarity: float  # max ||U^dag U - 1||_F over frames/connections
+    unitarity: float  # max ||U^dag U - 1||_F over frames/connections, via window cores
     norm: float  # max | ||psi_I|| - 1 |
 
     def as_dict(self) -> dict:
@@ -213,12 +224,20 @@ class GaugeState:
         return consistency
 
     def diagnostics(self, include_cocycle: bool = True) -> DefectReport:
-        """Identity defects; the cocycle sweep covers the first COCYCLE_TRIPLES triples."""
+        """Identity defects; the cocycle sweep covers the first COCYCLE_TRIPLES triples.
+
+        The unitarity sweep reads each frame or connection through its window
+        core (`lattice._window`): for M = 1 (x) C (x) 1 with a c x c core,
+        ||M^dag M - 1||_F = sqrt(D / c) ||C^dag C - 1||_F, so a window-local
+        matrix costs a c x c Gram instead of a D x D one. A dense matrix is its
+        own core (scale 1.0), and its defect keeps the dense formula's bits.
+        """
         patches = self.cover.patches
         consistency = self.consistency()
         unitarity = 0.0
         for m in self._unitarity_matrices():
-            unitarity = max(unitarity, unitarity_defect(m))
+            _, _, core = _window(m)
+            unitarity = max(unitarity, (self.dim / core.shape[0]) ** 0.5 * unitarity_defect(core))
         norm = max(
             abs(float(np.linalg.norm(v)) - 1.0) for v in self.psi.values()
         )
@@ -265,7 +284,10 @@ class GeneratorState(GaugeState):
         return self._replace(frame_stack=frames, psi=psi, **kw)
 
     def _connection(self, i: int, j: int) -> np.ndarray:
-        return self.frame_stack[i] @ self.frame_stack[j].conj().T
+        """U_I U_J^dag, multiplied through the frames' window cores on their hull."""
+        n = self.n_sites
+        lo, hi, core = _window(self.frame_stack[j])
+        return _lift(_mul(_window(self.frame_stack[i]), (lo, hi, core.conj().T), n), 0, n - 1)
 
     def _transported(self, psi: list[np.ndarray]) -> Iterator[tuple[int, np.ndarray]]:
         """(i, U_I U_J^dag psi_J) for every pair i < j, with U_J^dag psi_J formed once per J."""
@@ -725,83 +747,6 @@ def _frame_rhs(
         else:
             np.matmul(frames[i], r, out=dframes[i])
             dframes[i] *= -1j  # while the product is still in cache
-
-
-Window = tuple[int, int, np.ndarray]  # (lo, hi, core): 1 (x) core (x) 1, core on sites lo..hi
-
-
-def _window(m: np.ndarray) -> Window:
-    """m as a window-local operator, exactly 1 (x) core (x) 1.
-
-    Identity sites are stripped by value from the top (most significant)
-    site down, then from site 0 up, on ever smaller views of m; an identity
-    m gives an empty range and a 1 x 1 core. One off-block entry is probed
-    before each comparison, so a dense m fails in microseconds.
-    """
-    lo, hi, core = 0, m.shape[0].bit_length() - 2, m
-    for top in (True, False):
-        while lo <= hi:
-            half = core.shape[0] // 2
-            if top:
-                blocks = core.reshape(2, half, 2, half)
-            else:
-                blocks = core.reshape(half, 2, half, 2).transpose(1, 0, 3, 2)
-            # blocks[a, :, b, :]: the rows with bit a and the columns with bit b on the site
-            if (
-                blocks[0, 0, 1, 0] != 0
-                or blocks[0, :, 1].any()
-                or blocks[1, :, 0].any()
-                or not np.array_equal(blocks[0, :, 0], blocks[1, :, 1])
-            ):
-                break
-            core = blocks[0, :, 0]
-            hi, lo = (hi - 1, lo) if top else (hi, lo + 1)
-    return lo, hi, core
-
-
-def _hull(*ranges: tuple) -> tuple[int, int]:
-    """The smallest range of sites holding every nonempty (lo, hi, ...) range."""
-    spans = [r[:2] for r in ranges if r[0] <= r[1]]
-    return min(lo for lo, _ in spans), max(hi for _, hi in spans)
-
-
-def _lift(w: Window, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
-    """w as a matrix on sites lo..hi, a hull of its range.
-
-    Into `out` it is a zero fill plus one strided assignment of the core to
-    every diagonal block, with no product.
-    """
-    wlo, whi, core = w
-    if (wlo, whi) == (lo, hi):
-        if out is None or core is out:
-            return core
-        out[...] = core
-        return out
-    if wlo > whi:  # an empty range sits anywhere in the hull
-        wlo, whi = lo, lo - 1
-    dim, c, below = 2 ** (hi - lo + 1), core.shape[0], 2 ** (wlo - lo)
-    if out is None:
-        out = np.zeros((dim, dim), dtype=np.complex128)
-    else:
-        out.fill(0)
-    rows, cols = out.strides
-    np.lib.stride_tricks.as_strided(
-        out,
-        (2 ** (hi - whi), below, c, c),
-        (c * below * (rows + cols), rows + cols, below * rows, below * cols),
-    )[...] = core
-    return out
-
-
-def _mul(a: Window, b: Window, n: int, out: np.ndarray | None = None) -> Window:
-    """a @ b on the hull of their ranges.
-
-    A hull short of the n-site chain is multiplied at its own size; a hull
-    spanning it is the dense product of the lifts, written into `out` if given.
-    """
-    lo, hi = _hull(a, b)
-    out = out if hi - lo + 1 == n else None
-    return lo, hi, np.matmul(_lift(a, lo, hi), _lift(b, lo, hi), out=out)
 
 
 def _require_finite(a: np.ndarray, time: float, steps: int) -> None:

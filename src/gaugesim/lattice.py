@@ -228,26 +228,122 @@ def embed_operator(op, where: Patch | Iterable[int], n: int) -> np.ndarray:
     return np.ascontiguousarray(tensor.reshape(2**n, 2**n))
 
 
+# ---------------------------------------------------------------------------
+# Window-local operators
+# ---------------------------------------------------------------------------
+
+
+Window = tuple[int, int, np.ndarray]  # (lo, hi, core): 1 (x) core (x) 1, core on sites lo..hi
+
+
+def _window(m: np.ndarray) -> Window:
+    """m as a window-local operator, exactly 1 (x) core (x) 1.
+
+    Identity sites are stripped by value from the top (most significant)
+    site down, then from site 0 up, on ever smaller views of m; an identity
+    m gives an empty range and a 1 x 1 core. One off-block entry is probed
+    before each comparison, so a dense m fails in microseconds.
+    """
+    lo, hi, core = 0, m.shape[0].bit_length() - 2, m
+    for top in (True, False):
+        while lo <= hi:
+            half = core.shape[0] // 2
+            if top:
+                blocks = core.reshape(2, half, 2, half)
+            else:
+                blocks = core.reshape(half, 2, half, 2).transpose(1, 0, 3, 2)
+            # blocks[a, :, b, :]: the rows with bit a and the columns with bit b on the site
+            if (
+                blocks[0, 0, 1, 0] != 0
+                or blocks[0, :, 1].any()
+                or blocks[1, :, 0].any()
+                or not np.array_equal(blocks[0, :, 0], blocks[1, :, 1])
+            ):
+                break
+            core = blocks[0, :, 0]
+            hi, lo = (hi - 1, lo) if top else (hi, lo + 1)
+    return lo, hi, core
+
+
+def _hull(*ranges: tuple) -> tuple[int, int]:
+    """The smallest range of sites holding every nonempty (lo, hi, ...) range.
+
+    With no nonempty range it is the empty range (0, -1), the one `_window`
+    gives an identity, so a product of identities is a 1 x 1 product.
+    """
+    spans = [r[:2] for r in ranges if r[0] <= r[1]]
+    if not spans:
+        return 0, -1
+    return min(lo for lo, _ in spans), max(hi for _, hi in spans)
+
+
+def _lift(w: Window, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
+    """w as a matrix on sites lo..hi, a hull of its range.
+
+    Into `out` it is a zero fill plus one strided assignment of the core to
+    every diagonal block, with no product.
+    """
+    wlo, whi, core = w
+    if (wlo, whi) == (lo, hi):
+        if out is None or core is out:
+            return core
+        out[...] = core
+        return out
+    if wlo > whi:  # an empty range sits anywhere in the hull
+        wlo, whi = lo, lo - 1
+    dim, c, below = 2 ** (hi - lo + 1), core.shape[0], 2 ** (wlo - lo)
+    if out is None:
+        out = np.zeros((dim, dim), dtype=np.complex128)
+    else:
+        out.fill(0)
+    rows, cols = out.strides
+    np.lib.stride_tricks.as_strided(
+        out,
+        (2 ** (hi - whi), below, c, c),
+        (c * below * (rows + cols), rows + cols, below * rows, below * cols),
+    )[...] = core
+    return out
+
+
+def _mul(a: Window, b: Window, n: int, out: np.ndarray | None = None) -> Window:
+    """a @ b on the hull of their ranges.
+
+    A hull short of the n-site chain is multiplied at its own size; a hull
+    spanning it is the dense product of the lifts, written into `out` if given.
+    """
+    lo, hi = _hull(a, b)
+    out = out if hi - lo + 1 == n else None
+    return lo, hi, np.matmul(_lift(a, lo, hi), _lift(b, lo, hi), out=out)
+
+
 def site_identity_defects(m) -> dict[int, float]:
     """Per-site Frobenius distance from M to the nearest identity_s (x) M'.
 
     The nearest factorized operator has M' = partial trace over site s divided
-    by 2; the distance is computed from the four site-s blocks of M.
+    by 2; the distance is computed from the four site-s blocks. M is first
+    stripped to its window, exactly 1 (x) core (x) 1 (`_window`): a site
+    outside the window reads exactly 0.0, and a site inside it reads the
+    core's defect times sqrt(D / c) for a c x c core. A matrix with no
+    identity site is its own core, so its defects are the dense formula's
+    bits.
     """
     m = as_operator(m)
     dim = m.shape[0]
     n = dim.bit_length() - 1
     if 2**n != dim:
         raise ContractError(f"operator dim {dim} is not a power of two")
-    defects: dict[int, float] = {}
-    tensor = m.reshape([2] * (2 * n))
-    for s in range(n):
-        row_ax = n - 1 - s
-        col_ax = 2 * n - 1 - s
+    lo, hi, core = _window(m)
+    k = hi - lo + 1
+    scale = (dim / core.shape[0]) ** 0.5
+    defects = dict.fromkeys(range(n), 0.0)
+    tensor = core.reshape([2] * (2 * k))
+    for s in range(k):
+        row_ax = k - 1 - s
+        col_ax = 2 * k - 1 - s
         blocks = np.moveaxis(tensor, (row_ax, col_ax), (0, 1))
         off = np.linalg.norm(blocks[0, 1]) ** 2 + np.linalg.norm(blocks[1, 0]) ** 2
         diag = 0.5 * np.linalg.norm(blocks[0, 0] - blocks[1, 1]) ** 2
-        defects[s] = float(np.sqrt(off + diag))
+        defects[lo + s] = float(np.sqrt(off + diag)) * scale
     return defects
 
 

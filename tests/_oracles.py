@@ -162,3 +162,40 @@ def eager_layer_frames(state, gates):
         else:
             np.matmul(state.frame_stack[i], w, out=frames[i])
     return frames
+
+
+def dense_site_identity_defects(m):
+    """Per-site identity defects of M from its four D/2 x D/2 site blocks, on the full matrix."""
+    m = np.asarray(m, dtype=complex)
+    n = m.shape[0].bit_length() - 1
+    tensor = m.reshape([2] * (2 * n))
+    defects = {}
+    for s in range(n):
+        blocks = np.moveaxis(tensor, (n - 1 - s, 2 * n - 1 - s), (0, 1))
+        off = np.linalg.norm(blocks[0, 1]) ** 2 + np.linalg.norm(blocks[1, 0]) ** 2
+        diag = 0.5 * np.linalg.norm(blocks[0, 0] - blocks[1, 1]) ** 2
+        defects[s] = float(np.sqrt(off + diag))
+    return defects
+
+
+def dense_unitarity_defect(m):
+    """||M^dag M - 1||_F from the full D x D Gram matrix."""
+    m = np.asarray(m, dtype=complex)
+    gram = m.conj().T @ m
+    gram.flat[:: m.shape[0] + 1] -= 1.0
+    return float(np.linalg.norm(gram))
+
+
+def window_local_matrices(n, rng):
+    """(lo, hi, 1 (x) core (x) 1) for every window of sites lo..hi, the empty one
+    (lo, hi) = (0, -1) first: a random near-unitary core, by an explicit kron chain."""
+    windows = [(0, -1)] + [(lo, hi) for lo in range(n) for hi in range(lo, n)]
+    for lo, hi in windows:
+        c = 2 ** max(hi - lo + 1, 0)
+        z = rng.standard_normal((c, c)) + 1j * rng.standard_normal((c, c))
+        q, _ = np.linalg.qr(z)
+        core = q + 1e-3 * z
+        if hi < lo:
+            yield lo, hi, core[0, 0] * np.eye(2**n, dtype=complex)
+        else:
+            yield lo, hi, np.kron(np.kron(np.eye(2 ** (n - 1 - hi)), core), np.eye(2**lo))

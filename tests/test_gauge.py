@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 import gaugesim.gauge as gauge_module
-from gaugesim.circuits import LightConePrediction, brickwork, circuit_reference, run_circuit
+from gaugesim.circuits import (
+    LightConePrediction,
+    audit_lightcone,
+    brickwork,
+    circuit_reference,
+    run_circuit,
+)
 from gaugesim.errors import ContractError, DivergenceError
 from gaugesim.gauge import (
     DIRECT,
@@ -53,7 +59,16 @@ from gaugesim.reference import (
     schrodinger_evolve,
 )
 
-from _oracles import eager_layer_frames, plus_state, random_hermitian, random_state, taylor_expm
+from _oracles import (
+    dense_site_identity_defects,
+    dense_unitarity_defect,
+    eager_layer_frames,
+    plus_state,
+    random_hermitian,
+    random_state,
+    taylor_expm,
+    window_local_matrices,
+)
 
 CFG = IntegratorConfig(dt=1e-3, reunitarize_every=1)
 
@@ -899,6 +914,136 @@ class TestWindowedLayer:
         matrix = 16 * dim**2
         assert peak <= (len(state.cover) + 1) * matrix + matrix // 2
         assert np.abs(new.frame_stack - eager_layer_frames(state, gates)).max() <= 1e-14
+
+
+class TestWindowedChecks:
+    """diagnostics(), connections and audits read window-local frames through their cores."""
+
+    @staticmethod
+    def _one_patch_state(m):
+        """A generator state on the one-patch cover whose frame is m."""
+        n = m.shape[0].bit_length() - 1
+        state = init_gauge_state(plus_state(n), PatchCover(n, [tuple(range(n))]))
+        return state._with_frames(np.array(m, dtype=complex)[None])
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_window_local_unitarity_matches_the_dense_formula(self, n):
+        rng = np.random.default_rng(400 + n)
+        for _, _, m in window_local_matrices(n, rng):
+            got = self._one_patch_state(m).diagnostics().unitarity
+            assert abs(got - dense_unitarity_defect(m)) <= 1e-13
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_dense_matrices_keep_their_bits(self, n):
+        rng = np.random.default_rng(500 + n)
+        z = rng.standard_normal((2**n, 2**n)) + 1j * rng.standard_normal((2**n, 2**n))
+        state = self._one_patch_state(random_unitary(2**n, rng) + 1e-3 * z)
+        frame = state.frame_stack[0]
+        assert state.diagnostics().unitarity == dense_unitarity_defect(frame)
+
+    @pytest.mark.parametrize("scale", [1.0, 1.001])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_brickwork_unitarity_matches_the_dense_sweep(self, mode, scale):
+        n = 6
+        rng = np.random.default_rng(149)
+        cover = nn_pair_cover(n)
+        state = init_gauge_state(random_state(2**n, rng), cover, mode=mode)
+        state = run_circuit(state, brickwork(n, 3, 151))
+        if mode == DIRECT:
+            packed = state.packed.copy()
+            packed[len(cover) :] *= scale  # the connection rows
+            state = state._replace(packed=packed)
+        else:
+            state = state._with_frames(scale * state.frame_stack)
+        want = max(dense_unitarity_defect(m) for m in state._unitarity_matrices())
+        assert abs(state.diagnostics().unitarity - want) <= 1e-13 * max(1.0, want)
+        assert (want > 1e-3) == (scale != 1.0)
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_connections_and_audits_match_dense_products(self, depth):
+        n = 8
+        rng = np.random.default_rng(157)
+        cover = nn_pair_cover(n)
+        state = run_circuit(
+            init_gauge_state(random_state(2**n, rng), cover), brickwork(n, depth, 163)
+        )
+        frames = state.frame_stack
+        for i, a in enumerate(cover.patches):
+            for j, b in enumerate(cover.patches):
+                if i != j:
+                    dense = frames[i] @ frames[j].conj().T
+                    assert np.abs(state.connection(a, b) - dense).max() <= 1e-14
+            audit = audit_lightcone(state, a, depth)
+            want = dense_site_identity_defects(frames[i])
+            assert audit.site_defects.keys() == want.keys()
+            assert all(abs(audit.site_defects[s] - want[s]) <= 1e-13 for s in want)
+            for b, support in audit.connection_supports.items():
+                dense = frames[i] @ frames[cover.index(b)].conj().T
+                defects = dense_site_identity_defects(dense)
+                assert support == tuple(s for s, d in defects.items() if d > 1e-12)
+
+    def test_connections_of_dense_frames_keep_their_bits(self):
+        n = 5
+        h = tfim_chain(n, 1.0, 1.0)
+        rng = np.random.default_rng(167)
+        state = evolve(init_gauge_state(random_state(2**n, rng), h.cover), h, 0.01, CFG)
+        frames = state.frame_stack
+        for i, a in enumerate(h.cover.patches):
+            for j, b in enumerate(h.cover.patches):
+                if i != j:
+                    assert np.array_equal(state.connection(a, b), frames[i] @ frames[j].conj().T)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_connection_of_identity_frames_is_exactly_the_identity(self, mode):
+        cover = nn_pair_cover(4)
+        state = init_gauge_state(plus_state(4), cover, mode=mode)
+        for a in cover.patches:
+            for b in cover.patches:
+                assert np.array_equal(state.connection(a, b), np.eye(16))
+
+    @staticmethod
+    def _dense_checks(state, depth, monkeypatch):
+        """The D x D matmuls made on frames, the D x D Grams of the unitarity sweep and
+        the products spanning the chain, over diagnostics() and every patch's audit."""
+        dim, n = state.dim, state.n_sites
+        Counting, dense = _dense_product_counter(dim)
+        state = state._with_frames(state.frame_stack.view(Counting))
+        grams, spanning = [], []
+        defect, mul = gauge_module.unitarity_defect, gauge_module._mul
+
+        def counting_defect(m):
+            grams.append(np.shape(m) == (dim, dim))
+            return defect(m)
+
+        def counting_mul(a, b, n_sites, out=None):
+            lo, hi, core = mul(a, b, n_sites, out)
+            spanning.append(hi - lo + 1 == n)
+            return lo, hi, core
+
+        monkeypatch.setattr(gauge_module, "unitarity_defect", counting_defect)
+        monkeypatch.setattr(gauge_module, "_mul", counting_mul)
+        state.diagnostics(include_cocycle=False)
+        for p in state.cover.patches:
+            audit_lightcone(state, p, depth)
+        assert len(grams) == len(state.cover) and spanning
+        return len(dense), sum(grams), sum(spanning)
+
+    def test_checks_on_short_windows_make_no_dense_product(self, monkeypatch):
+        # after a depth-2 brickwork at n = 8, every connection's hull is short of the chain
+        n = 8
+        rng = np.random.default_rng(173)
+        state = run_circuit(
+            init_gauge_state(random_state(2**n, rng), nn_pair_cover(n)), brickwork(n, 2, 179)
+        )
+        assert self._dense_checks(state, 2, monkeypatch) == (0, 0, 0)
+
+    def test_checks_on_dense_frames_make_dense_products(self, monkeypatch):
+        n = 8
+        h = tfim_chain(n, 1.0, 1.0)
+        rng = np.random.default_rng(181)
+        state = evolve(init_gauge_state(random_state(2**n, rng), h.cover), h, 0.002, CFG)
+        products, grams, spanning = self._dense_checks(state, 2, monkeypatch)
+        assert products > 0 and grams == len(h.cover) and spanning > 0
 
 
 class TestDiagnostics:

@@ -6,6 +6,10 @@ from hypothesis import strategies as st
 from gaugesim.errors import ContractError
 from gaugesim.lattice import (
     Patch,
+    _hull,
+    _lift,
+    _mul,
+    _window,
     PatchCover,
     apply_local,
     cover_from_config,
@@ -16,7 +20,14 @@ from gaugesim.lattice import (
     site_identity_defects,
 )
 
-from _oracles import SX, SZ, brute_embed, ptrace_site_reconstruction
+from _oracles import (
+    SX,
+    SZ,
+    brute_embed,
+    dense_site_identity_defects,
+    ptrace_site_reconstruction,
+    window_local_matrices,
+)
 
 
 class TestPatch:
@@ -195,3 +206,34 @@ class TestOperatorSupport:
         for out in (np.empty((16, 8), complex), np.empty((16, 16)), np.empty((16, 16), complex).T):
             with pytest.raises(ContractError, match="out must be"):
                 apply_local(np.eye(4), (1, 2), 4, m, out=out)
+
+
+class TestWindowedDefects:
+    """Site defects are read from the window core and agree with the dense formula."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_window_local_matrices_match_the_dense_formula(self, n):
+        rng = np.random.default_rng(200 + n)
+        for lo, hi, m in window_local_matrices(n, rng):
+            assert _window(m)[:2] == (lo, hi)
+            got = site_identity_defects(m)
+            want = dense_site_identity_defects(m)
+            assert list(got) == list(want) == list(range(n))
+            for s in range(n):
+                if not lo <= s <= hi:
+                    assert got[s] == 0.0
+                assert abs(got[s] - want[s]) <= 1e-13
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_dense_matrices_keep_their_bits(self, n):
+        rng = np.random.default_rng(300 + n)
+        m = rng.standard_normal((2**n, 2**n)) + 1j * rng.standard_normal((2**n, 2**n))
+        assert site_identity_defects(m) == dense_site_identity_defects(m)
+
+    def test_product_of_identities_is_the_empty_window(self):
+        eye = np.eye(16, dtype=complex)
+        a, b = _window(eye), _window(eye)
+        assert a[:2] == b[:2] == _hull(a, b) == (0, -1)
+        product = _mul(a, b, 4)
+        assert product[:2] == (0, -1) and product[2].shape == (1, 1)
+        assert np.array_equal(_lift(product, 0, 3), eye)
