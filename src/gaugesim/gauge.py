@@ -19,6 +19,11 @@ Two integration modes are provided, one state class each:
   variables then drifts at the integrator's order, which `diagnostics`
   measures.
 
+Every variable is stored in the plain gauge, where a patch's operator for a
+Schroedinger operator A is A itself. A gauge transform only multiplies the
+per-patch factor D_I (the dressing) that the read-outs `psi`, `frames`,
+`connection(s)` and `effective_hamiltonian` apply; nothing else reads it.
+
 Within a step, every per-patch derivative reads the same frozen stage
 snapshot, so evaluation order is immaterial; states are never mutated in
 place and observable queries are read-only.
@@ -28,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import numbers
 from dataclasses import asdict, dataclass, replace as dc_replace
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -65,10 +71,11 @@ class IntegratorConfig:
     renormalize: bool = False
 
     def __post_init__(self):
-        if not (np.isfinite(self.dt) and self.dt > 0):
-            raise ContractError(f"dt must be positive and finite, got {self.dt}")
-        if self.reunitarize_every < 0:
-            raise ContractError("reunitarize_every must be >= 0")
+        dt, every = self.dt, self.reunitarize_every
+        if isinstance(dt, bool) or not isinstance(dt, numbers.Real) or not 0 < dt < np.inf:
+            raise ContractError(f"dt must be positive and finite, got {dt!r}")
+        if isinstance(every, bool) or not isinstance(every, numbers.Integral) or every < 0:
+            raise ContractError(f"reunitarize_every must be an integer >= 0, got {every!r}")
 
 
 class GaugeTransform:
@@ -111,9 +118,12 @@ class GaugeState:
     """Local wavefunctions plus frame/connection unitaries on a patch cover.
 
     The base of `GeneratorState` and `DirectState`, which own all arithmetic
-    on their variables (the ones a mode does not store read None). Treat
-    instances as immutable: evolution and transformation functions return new
-    states. Observable queries are read-only.
+    on their variables (the ones a mode does not store read None). Those are
+    stored in the plain gauge, `local` holding the wavefunctions; `dressing`
+    records each patch's gauge factor D_I, which only the read-outs apply
+    (`psi` is D_I psi_I). Treat instances as immutable: evolution and
+    transformation functions return new states. Observable queries are
+    read-only.
     """
 
     mode: str  # class constant of each mode
@@ -127,13 +137,13 @@ class GaugeState:
         cover: PatchCover,
         time: float,
         steps: int,
-        psi: dict[Patch, np.ndarray],
+        local: dict[Patch, np.ndarray],
         dressing: dict[Patch, np.ndarray] | None = None,
     ):
         self.cover = cover
         self.time = float(time)
         self.steps = int(steps)
-        self.psi = psi
+        self.local = local
         self.dressing = dressing or {}
 
     # -- construction helpers -------------------------------------------
@@ -151,19 +161,29 @@ class GaugeState:
     def dim(self) -> int:
         return self.cover.dim
 
-    @property
+    @functools.cached_property
+    def psi(self) -> dict[Patch, np.ndarray]:
+        """Each patch's wavefunction D_I psi_I; `local`'s array where undressed."""
+        return {p: _dressed(v, self.dressing_of(p)) for p, v in self.local.items()}
+
+    @functools.cached_property
     def frames(self) -> dict[Patch, np.ndarray] | None:
-        """Each patch's frame unitary, as a view into `frame_stack`."""
+        """Each patch's frame unitary D_I U_I; a view into `frame_stack` where undressed."""
         if self.frame_stack is None:
             return None
-        return dict(zip(self.cover.patches, self.frame_stack))
+        patches = self.cover.patches
+        return {p: _dressed(u, self.dressing_of(p)) for p, u in zip(patches, self.frame_stack)}
 
     def dressing_of(self, patch: Patch) -> np.ndarray | None:
         """Accumulated frame change relative to the plain-operator gauge, or None."""
         return self.dressing.get(patch)
 
     def connection(self, a: Patch, b: Patch) -> np.ndarray:
-        """The unitary transporting patch b's wavefunction to patch a's frame."""
+        """The unitary D_a U_ab D_b^dag transporting patch b's wavefunction to patch a's frame."""
+        return _dressed(self._plain_connection(a, b), self.dressing_of(a), self.dressing_of(b))
+
+    def _plain_connection(self, a: Patch, b: Patch) -> np.ndarray:
+        """The plain-gauge connection U_ab; the identity for a == b."""
         ia = self.cover.index(a)
         ib = self.cover.index(b)
         if ia == ib:
@@ -172,32 +192,26 @@ class GaugeState:
 
     # -- observables -----------------------------------------------------
 
-    def _dressed_apply(self, patch: Patch, op: np.ndarray, vec: np.ndarray) -> np.ndarray:
-        """Apply the patch's picture operator for Schroedinger operator `op` to vec."""
+    def _apply(self, patch: Patch, op: np.ndarray, vec: np.ndarray) -> np.ndarray:
+        """Apply the patch-supported Schroedinger operator `op` to vec."""
         op = np.asarray(op, dtype=np.complex128)
-        d = self.dressing_of(patch)
-        w = vec if d is None else d.conj().T @ vec
         if op.shape[0] == patch.dim and patch.dim != self.dim:
-            w = apply_local(op, patch, self.n_sites, w)
-        elif op.shape[0] == self.dim:
-            support = operator_support(op)
-            if not support <= set(patch.sites):
-                raise ContractError(
-                    f"operator support {sorted(support)} leaks outside {patch}"
-                )
-            w = op @ w
-        else:
+            return apply_local(op, patch, self.n_sites, vec)
+        if op.shape[0] != self.dim:
             raise ContractError(
                 f"operator dim {op.shape[0]} matches neither {patch} nor the chain"
             )
-        return w if d is None else d @ w
+        support = operator_support(op)
+        if not support <= set(patch.sites):
+            raise ContractError(f"operator support {sorted(support)} leaks outside {patch}")
+        return op @ vec
 
     def local_expectation(self, patch: Patch, op: np.ndarray) -> complex:
         """<psi_I| A |psi_I> for A supported inside patch I (Schroedinger form)."""
         if patch not in self.cover:
             raise ContractError(f"{patch} is not a patch of the cover")
-        psi = self.psi[patch]
-        return complex(np.vdot(psi, self._dressed_apply(patch, op, psi)))
+        psi = self.local[patch]
+        return complex(np.vdot(psi, self._apply(patch, op, psi)))
 
     def correlator(self, chain: Sequence[tuple[Patch, np.ndarray]]) -> complex:
         """<psi_{I_1}| A_1 U_{I_1 I_2} A_2 ... A_m |psi_{I_m}> for patch-supported A_k."""
@@ -207,17 +221,17 @@ class GaugeState:
         for p in patches:
             if p not in self.cover:
                 raise ContractError(f"{p} is not a patch of the cover")
-        vec = self._dressed_apply(patches[-1], chain[-1][1], self.psi[patches[-1]])
+        vec = self._apply(patches[-1], chain[-1][1], self.local[patches[-1]])
         for (patch, op), nxt in zip(reversed(chain[:-1]), reversed(patches[1:])):
-            vec = self.connection(patch, nxt) @ vec
-            vec = self._dressed_apply(patch, op, vec)
-        return complex(np.vdot(self.psi[patches[0]], vec))
+            vec = self._plain_connection(patch, nxt) @ vec
+            vec = self._apply(patch, op, vec)
+        return complex(np.vdot(self.local[patches[0]], vec))
 
     # -- diagnostics -------------------------------------------------------
 
     def consistency(self) -> float:
         """max over pairs ||U_IJ psi_J - psi_I||; no unitarity, norm or cocycle sweep."""
-        psi = [self.psi[p] for p in self.cover.patches]
+        psi = list(self.local.values())
         consistency = 0.0
         for i, w in self._transported(psi):
             consistency = max(consistency, float(np.linalg.norm(w - psi[i])))
@@ -239,7 +253,7 @@ class GaugeState:
             _, _, core = _window(m)
             unitarity = max(unitarity, (self.dim / core.shape[0]) ** 0.5 * unitarity_defect(core))
         norm = max(
-            abs(float(np.linalg.norm(v)) - 1.0) for v in self.psi.values()
+            abs(float(np.linalg.norm(v)) - 1.0) for v in self.local.values()
         )
         cocycle = 0.0
         if include_cocycle and len(patches) >= 3:
@@ -248,9 +262,9 @@ class GaugeState:
             )
             for i, j, k in triples:
                 try:
-                    c_ij = self.connection(patches[i], patches[j])
-                    c_jk = self.connection(patches[j], patches[k])
-                    c_ik = self.connection(patches[i], patches[k])
+                    c_ij = self._connection(i, j)
+                    c_jk = self._connection(j, k)
+                    c_ik = self._connection(i, k)
                 except ContractError:
                     continue  # disconnected pair graph: no loop to test
                 cocycle = max(
@@ -267,21 +281,21 @@ class GaugeState:
 class GeneratorState(GaugeState):
     """Generator mode: one frame unitary U_I per patch and psi_I = U_I base.
 
-    The frames are one (P, D, D) array, `frame_stack`, in cover order;
-    `frames` maps each patch to its view. Connections are U_I U_J^dag.
+    The plain-gauge frames are one (P, D, D) array, `frame_stack`, in cover
+    order; `frames` maps each patch to D_I U_I. Connections are U_I U_J^dag.
     """
 
     mode = GENERATOR
-    _fields = GaugeState._fields + ("psi", "frame_stack", "base")
+    _fields = GaugeState._fields + ("local", "frame_stack", "base")
 
-    def __init__(self, cover, time, steps, psi, frame_stack, base, dressing=None):
-        super().__init__(cover, time, steps, psi, dressing)
+    def __init__(self, cover, time, steps, local, frame_stack, base, dressing=None):
+        super().__init__(cover, time, steps, local, dressing)
         self.frame_stack = frame_stack
         self.base = base
 
-    def _with_frames(self, frames: np.ndarray, **kw) -> "GeneratorState":
-        psi = dict(zip(self.cover.patches, frames @ self.base))
-        return self._replace(frame_stack=frames, psi=psi, **kw)
+    def _with_frames(self, frames: np.ndarray) -> "GeneratorState":
+        local = dict(zip(self.cover.patches, frames @ self.base))
+        return self._replace(frame_stack=frames, local=local)
 
     def _connection(self, i: int, j: int) -> np.ndarray:
         """U_I U_J^dag, multiplied through the frames' window cores on their hull."""
@@ -302,14 +316,9 @@ class GeneratorState(GaugeState):
     def _step(self, plan: StepPlan, config: IntegratorConfig, reunitarize: bool) -> "GeneratorState":
         t_next = self.time + config.dt
         new_steps = self.steps + 1
-        dress = [self.dressing_of(p) for p in plan.patches]
         with np.errstate(invalid="ignore", over="ignore"):
-            frames = rk4_step(
-                self.frame_stack,
-                self.time,
-                config.dt,
-                functools.partial(_frame_rhs, plan, self.n_sites, dress),
-            )
+            rhs = functools.partial(_frame_rhs, plan, self.n_sites)
+            frames = rk4_step(self.frame_stack, self.time, config.dt, rhs)
         _require_finite(frames, t_next, new_steps)
         if reunitarize:
             frames = _reunitarized(frames, t_next, new_steps)
@@ -317,31 +326,21 @@ class GeneratorState(GaugeState):
         if config.renormalize:
             psi /= np.linalg.norm(psi, axis=1, keepdims=True)
         return self._replace(
-            time=t_next, steps=new_steps, psi=dict(zip(plan.patches, psi)), frame_stack=frames
+            time=t_next, steps=new_steps, local=dict(zip(plan.patches, psi)), frame_stack=frames
         )
 
-    def _transformed(self, factors: list[np.ndarray | None], dressing: dict) -> "GeneratorState":
-        """U_I -> F_I U_I; None stands for the identity and keeps the frame."""
-        frames = np.empty_like(self.frame_stack)
-        for f, u, out in zip(factors, self.frame_stack, frames):
-            if f is None:
-                out[...] = u
-            else:
-                np.matmul(f, u, out=out)
-        return self._with_frames(frames, dressing=dressing)
-
     def _layered(self, gates: dict[Patch, np.ndarray]) -> "GeneratorState":
-        """U_I -> U_I prod_(gates g near I) S_g, with S_g = V_g^dag G V_g and V = D^dag U.
+        """U_I -> U_I prod_(gates g near I) S_g, with S_g = U_g^dag G U_g.
 
         Every factor is window-local, exactly 1 (x) core (x) 1 with its core on
-        a range of sites (`_window`; a dressed frame counts as spanning the
-        chain). S_g is formed on the hull of V_g's range and g's sites, and a
-        patch's product on the hull of its own range and its factors', in the
-        eager formula's order: the near sandwiches left to right into W, then
-        U W (a gate's own patch takes D G V W). A hull short of the chain is
-        multiplied at its own size and written into the frame slot.
+        a range of sites (`_window`). S_g is formed on the hull of U_g's range
+        and g's sites, and a patch's product on the hull of its own range and
+        its factors', in the eager formula's order: the near sandwiches left to
+        right into W, then U W (a gate's own patch takes G U W). A hull short
+        of the chain is multiplied at its own size and written into the frame
+        slot.
 
-        A hull spanning the chain is the dense product of D x D lifts: G V is
+        A hull spanning the chain is the dense product of D x D lifts: G U is
         written into the slot and S_g is formed from it when the first patch
         needs it and freed after the last, so on a chain at most two
         sandwiches (or lifts) and one scratch matrix are alive next to the
@@ -352,28 +351,15 @@ class GeneratorState(GaugeState):
         frames = np.empty_like(old)
         near = [[gp for gp in gates if gp != p and gp.overlaps(p)] for p in patches]
         users = {gp: sum(gp in nr for nr in near) for gp in gates}  # yet to multiply by S_g
+        window = functools.cache(lambda i: _window(old[i]))
 
-        @functools.cache
-        def window(i: int) -> Window:
-            if self.dressing_of(patches[i]) is None:
-                return _window(old[i])
-            return 0, n - 1, old[i]
-
-        own: dict[Patch, Window | None] = {}  # D G V of each gate patch; None: in its slot
+        own: dict[Patch, Window | None] = {}  # G U of each gate patch; None: in its slot
         sandwiches: dict[Patch, Window] = {}
         for gp, g in gates.items():
             j = cover.index(gp)
-            d = self.dressing_of(gp)
             lo, hi = _hull(window(j), (gp.sites[0], gp.sites[-1]))
-            if d is not None:
-                v = d.conj().T @ old[j]
-                gv = apply_local(g, gp, n, v)
-                if users[gp]:  # G V is not kept, so S_g is formed now
-                    sandwiches[gp] = (0, n - 1, v.conj().T @ gv)
-                np.matmul(d, gv, out=frames[j])
-                own[gp] = None
-            elif hi - lo + 1 == n:
-                apply_local(g, gp, n, old[j], out=frames[j])  # G V, read again by S_g
+            if hi - lo + 1 == n:
+                apply_local(g, gp, n, old[j], out=frames[j])  # G U, read again by S_g
                 own[gp] = None
             else:
                 v = _lift(window(j), lo, hi)
@@ -381,7 +367,7 @@ class GeneratorState(GaugeState):
                 own[gp] = (lo, hi, gv)
                 if users[gp]:
                     sandwiches[gp] = (lo, hi, v.conj().T @ gv)
-        scratch = np.empty_like(old[0])  # conj(V), then a patch's product of sandwiches
+        scratch = np.empty_like(old[0])  # conj(U), then a patch's product of sandwiches
 
         def sandwich(gp: Patch) -> Window:
             if gp not in sandwiches:
@@ -399,12 +385,12 @@ class GeneratorState(GaugeState):
                     _lift(own.pop(p), 0, n - 1, out=slot)
                 continue
             if users.get(p):
-                sandwich(p)  # read G V before the slot is overwritten below
+                sandwich(p)  # read G U before the slot is overwritten below
             mats = [sandwich(gp) for gp in near[i]]
             w = mats[0]
             for s in mats[1:]:
                 w = _mul(w, s, n, out=scratch)
-            if p in gates:  # G V may sit in the slot, so the product is not written there
+            if p in gates:  # G U may sit in the slot, so the product is not written there
                 left, out = own.pop(p) or (0, n - 1, slot), None
             else:
                 left, out = window(i), slot
@@ -420,20 +406,20 @@ class GeneratorState(GaugeState):
 
     def _collapsed(self, patch: Patch, collapsed: np.ndarray) -> "GeneratorState":
         new_base = self.frame_stack[self.cover.index(patch)].conj().T @ collapsed
-        psi = dict(zip(self.cover.patches, self.frame_stack @ new_base))
-        psi[patch] = collapsed
-        return self._replace(psi=psi, base=new_base)
+        local = dict(zip(self.cover.patches, self.frame_stack @ new_base))
+        local[patch] = collapsed
+        return self._replace(local=local, base=new_base)
 
 
 class DirectState(GaugeState):
     """Direct mode: psi_I and the connections of linked pairs, integrated verbatim.
 
-    Both live in one (P + C D, D) array, `packed`: rows :P hold psi in cover
-    order, the rest the (C, D, D) connection stack in the sorted order of
-    `keys`; `psi` and `connections` map each patch and key to its view. Key
-    (i, j), i < j, holds the unitary taking patch j's wavefunction to patch
-    i's frame; other pairs chain stored connections along one breadth-first
-    walk.
+    Both live in one (P + C D, D) array, `packed`, in the plain gauge: rows
+    :P hold psi in cover order, the rest the (C, D, D) connection stack in
+    the sorted order of `keys`; `local` and `links` map each patch and key to
+    its view. Key (i, j), i < j, holds the unitary taking patch j's
+    wavefunction to patch i's frame; other pairs chain stored connections
+    along one breadth-first walk.
     """
 
     mode = DIRECT
@@ -444,7 +430,16 @@ class DirectState(GaugeState):
         super().__init__(cover, time, steps, dict(zip(cover.patches, psi)), dressing)
         self.packed = packed
         self.keys = tuple(keys)
-        self.connections = dict(zip(self.keys, conns))
+        self.links = dict(zip(self.keys, conns))
+
+    @functools.cached_property
+    def connections(self) -> dict[tuple[int, int], np.ndarray]:
+        """Each key's connection D_i U_ij D_j^dag; a view into `packed` where undressed."""
+        patches = self.cover.patches
+        return {
+            (i, j): _dressed(c, self.dressing_of(patches[i]), self.dressing_of(patches[j]))
+            for (i, j), c in self.links.items()
+        }
 
     def _blank(self, n_conn: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """A fresh array of this layout (with n_conn connections), and its views."""
@@ -480,29 +475,25 @@ class DirectState(GaugeState):
         while path[-1] != i:
             path.append(parent[path[-1]])
         path.reverse()
-        out = _oriented(self.connections, path[0], path[1])
+        out = _oriented(self.links, path[0], path[1])
         for u, v in zip(path[1:], path[2:]):
-            out = out @ _oriented(self.connections, u, v)
+            out = out @ _oriented(self.links, u, v)
         return out
 
     def _transported(self, psi: list[np.ndarray]) -> Iterator[tuple[int, np.ndarray]]:
         """(i, U_IJ psi_J) for every stored connection (i, j)."""
-        for (i, j), c in self.connections.items():
+        for (i, j), c in self.links.items():
             yield i, c @ psi[j]
 
-    def _transport(self, i: int, j: int, vec: np.ndarray) -> np.ndarray:
-        return _oriented(self.connections, i, j) @ vec
-
     def _unitarity_matrices(self) -> Iterable[np.ndarray]:
-        return self.connections.values()
+        return self.links.values()
 
     def _step(self, plan: StepPlan, config: IntegratorConfig, reunitarize: bool) -> "DirectState":
         count = len(plan.patches)
         t_next = self.time + config.dt
         new_steps = self.steps + 1
-        dress = [self.dressing_of(p) for p in plan.patches]
         state = self
-        if not self.connections.keys() >= set(plan.connection_keys):
+        if not self.links.keys() >= set(plan.connection_keys):
             if self.steps or self.time:
                 raise ContractError(
                     "direct-mode state lacks connections required by this "
@@ -515,7 +506,7 @@ class DirectState(GaugeState):
             psi, conns = _unpacked(y, count)
             dpsi, dconns = _unpacked(out, count)
             conn = functools.partial(_oriented, dict(zip(keys, conns)))
-            h_eff = [_neighborhood(plan, self.n_sites, dress, i, t, conn) for i in range(count)]
+            h_eff = [_neighborhood(plan, self.n_sites, i, t, conn) for i in range(count)]
             for h, v, dv in zip(h_eff, psi, dpsi):
                 np.matmul(h, v, out=dv)
                 dv *= -1j
@@ -542,38 +533,31 @@ class DirectState(GaugeState):
         psi[...] = self.packed[: len(self.cover)]
         eye = np.eye(self.dim, dtype=np.complex128)
         for key, c in zip(keys, conns):
-            c[...] = self.connections.get(key, eye)
+            c[...] = self.links.get(key, eye)
         return self._replace(packed=packed, keys=keys)
 
-    def _rotated(self, ops: Sequence[np.ndarray | None], **kw) -> "DirectState":
-        """psi_I -> A_I psi_I and U_IJ -> A_I U_IJ A_J^dag; None stands for the identity."""
-        packed, psi, conns = self._blank()
-        for a, v, out in zip(ops, self.psi.values(), psi):
-            out[...] = v if a is None else a @ v
-        for (i, j), c, out in zip(self.keys, self.connections.values(), conns):
-            if ops[j] is not None:
-                c = c @ ops[j].conj().T
-            out[...] = c if ops[i] is None else ops[i] @ c
-        return self._replace(packed=packed, **kw)
-
-    def _transformed(self, factors: list[np.ndarray | None], dressing: dict) -> "DirectState":
-        return self._rotated(factors, dressing=dressing)
-
     def _layered(self, gates: dict[Patch, np.ndarray]) -> "DirectState":
-        # the transported layer unitary per patch
-        patches = self.cover.patches
-        layer_ops: list[np.ndarray | None] = []
-        for i, p in enumerate(patches):
+        """psi_I -> A_I psi_I and U_IJ -> A_I U_IJ A_J^dag, with A_I the product of the
+        gates near patch I transported into its frame (None where no gate is near)."""
+        ops: list[np.ndarray | None] = []
+        for i, p in enumerate(self.cover.patches):
             w = None
             for gp, g in gates.items():
                 if not gp.overlaps(p):
                     continue
                 j = self.cover.index(gp)
                 c = None if i == j else self._connection(i, j)
-                contrib = _conjugated(g, gp, self.n_sites, c, self.dressing_of(gp))
+                contrib = _conjugated(g, gp, self.n_sites, c)
                 w = contrib if w is None else w @ contrib
-            layer_ops.append(w)
-        return self._rotated(layer_ops)
+            ops.append(w)
+        packed, psi, conns = self._blank()
+        for a, v, out in zip(ops, self.local.values(), psi):
+            out[...] = v if a is None else a @ v
+        for (i, j), c, out in zip(self.keys, self.links.values(), conns):
+            if ops[j] is not None:
+                c = c @ ops[j].conj().T
+            out[...] = c if ops[i] is None else ops[i] @ c
+        return self._replace(packed=packed)
 
     def _collapsed(self, patch: Patch, collapsed: np.ndarray) -> "DirectState":
         # transport along the walk's tree edges keeps the consistency identity exact
@@ -589,7 +573,7 @@ class DirectState(GaugeState):
         packed, psi, conns = self._blank()
         conns[...] = _unpacked(self.packed, len(patches))[1]
         for v, u in parent.items():
-            psi[v] = collapsed if v == u else self._transport(v, u, psi[u])
+            psi[v] = collapsed if v == u else _oriented(self.links, v, u) @ psi[u]
         return self._replace(packed=packed)
 
 
@@ -603,6 +587,15 @@ def _oriented(stored: Mapping[tuple[int, int], np.ndarray], i: int, j: int) -> n
     """The connection from patch j to patch i, given those stored under (i, j), i < j."""
     c = stored[(min(i, j), max(i, j))]
     return c if i < j else c.conj().T
+
+
+def _dressed(m: np.ndarray, left: np.ndarray | None, right: np.ndarray | None = None) -> np.ndarray:
+    """left m right^dag, the read-out of a plain-gauge m; None is the identity."""
+    if left is not None:
+        m = left @ m
+    if right is not None:
+        m = m @ right.conj().T
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -646,29 +639,20 @@ def init_gauge_state(
 # ---------------------------------------------------------------------------
 
 
-def _conjugated(
-    op: np.ndarray, patch: Patch, n: int, c: np.ndarray | None, d: np.ndarray | None
-) -> np.ndarray:
-    """(c d) embed(op) (c d)^dag without forming embed(op); None stands for the identity."""
-    if d is not None:
-        c = d if c is None else c @ d
+def _conjugated(op: np.ndarray, patch: Patch, n: int, c: np.ndarray | None) -> np.ndarray:
+    """c embed(op) c^dag without forming embed(op); None stands for the identity."""
     if c is None:
         return apply_local(op, patch, n, np.eye(2**n, dtype=np.complex128))
     return c @ apply_local(op, patch, n, c.conj().T)
 
 
 def _neighborhood(
-    plan: StepPlan,
-    n: int,
-    dress: Sequence[np.ndarray | None],
-    i: int,
-    t: float,
-    conn: Callable[[int, int], np.ndarray],
+    plan: StepPlan, n: int, i: int, t: float, conn: Callable[[int, int], np.ndarray]
 ) -> np.ndarray:
     """Products touching patch i at time t, transported into its frame.
 
     `conn(i, j)` is the connection from patch j to patch i (j != i); a factor
-    placed on patch j enters as c @ D_j f D_j^dag @ c^dag.
+    placed on patch j enters as c @ f @ c^dag.
     """
     patches = plan.patches
     out = np.zeros((2**n, 2**n), dtype=np.complex128)
@@ -676,7 +660,7 @@ def _neighborhood(
         prod = None
         for j, fac in plan.products[k]:
             c = None if j == i else conn(i, j)
-            w = _conjugated(fac, patches[j], n, c, dress[j])
+            w = _conjugated(fac, patches[j], n, c)
             prod = w if prod is None else prod @ w
         coef = plan.coefficients[k]
         out += prod if coef is None else coef(t) * prod
@@ -689,23 +673,18 @@ def effective_hamiltonian(
     """Connection-dressed sum of Hamiltonian terms overlapping `patch`.
 
     This is the generator of the patch's local time evolution: each nearby
-    term is transported into the patch's frame by the connections. At t=0 it
-    reduces to the plain neighborhood sum.
+    term is transported into the patch's frame by the connections, and the
+    sum is read out through the patch's dressing D as D H D^dag. At t=0 on an
+    undressed patch it reduces to the plain neighborhood sum.
     """
     if state.cover != hml.cover:
         raise ContractError("state and Hamiltonian use different covers")
     if patch not in state.cover:
         raise ContractError(f"{patch} is not a patch of the cover")
     plan = hml.step_plan(state.cover)
-    patches = plan.patches
-    return _neighborhood(
-        plan,
-        state.n_sites,
-        [state.dressing_of(p) for p in patches],
-        state.cover.index(patch),
-        state.time,
-        lambda i, j: state.connection(patches[i], patches[j]),
-    )
+    h = _neighborhood(plan, state.n_sites, state.cover.index(patch), state.time, state._connection)
+    d = state.dressing_of(patch)
+    return _dressed(h, d, d)
 
 
 # ---------------------------------------------------------------------------
@@ -713,29 +692,21 @@ def effective_hamiltonian(
 # ---------------------------------------------------------------------------
 
 
-def _frame_rhs(
-    plan: StepPlan, n: int, dress: Sequence, t: float, frames: np.ndarray, dframes: np.ndarray
-) -> None:
+def _frame_rhs(plan: StepPlan, n: int, t: float, frames: np.ndarray, dframes: np.ndarray) -> None:
     """Write dU/dt for the (P, D, D) frame stack into dframes: dU_I = -i U_I R_I, where
 
-    R_I = sum_(products k touching I) c_k(t) prod_(J, f) V_J^dag f V_J
+    R_I = sum_(products k touching I) c_k(t) prod_(J, f) U_J^dag f U_J
 
-    over the plan's placed factors (J, f) of each product, with V_J = D_J^dag U_J.
-    Each product is formed once and shared by all patches it touches.
+    over the plan's placed factors (J, f) of each product. Each product is
+    formed once and shared by all patches it touches.
     """
-    views = frames
-    if any(d is not None for d in dress):
-        views = frames.copy()
-        for i, d in enumerate(dress):
-            if d is not None:
-                views[i] = d.conj().T @ frames[i]
     patches = plan.patches
     products = []
     for placed, coef in zip(plan.products, plan.coefficients):
         prod = None
         for j, fac in placed:
-            v = views[j]
-            w = v.conj().T @ apply_local(fac, patches[j], n, v)
+            u = frames[j]
+            w = u.conj().T @ apply_local(fac, patches[j], n, u)
             prod = w if prod is None else prod @ w
         products.append(prod if coef is None else coef(t) * prod)
     for i, near in enumerate(plan.touching):
@@ -811,22 +782,18 @@ def evolve(
 def gauge_transform(state: GaugeState, transform: GaugeTransform) -> GaugeState:
     """Apply a per-patch unitary frame change; all physical quantities invariant.
 
-    Patches the transform does not name keep their frames and dressing; a
+    Only the dressing changes: D_I -> F_I D_I for each patch the transform
+    names, and the stored plain-gauge variables are shared with the input. A
     factor on a patch outside the cover is a ContractError.
     """
     for p in transform.lambdas:
         if p not in state.cover:
             raise ContractError(f"gauge factor on {p}: not a patch of the cover")
-    n = state.n_sites
-    factors = [
-        transform.factor(p, n) if p in transform.lambdas else None for p in state.cover.patches
-    ]
-    new_dressing = dict(state.dressing)
-    for p, f in zip(state.cover.patches, factors):
-        if f is not None:
-            d = state.dressing_of(p)
-            new_dressing[p] = f if d is None else f @ d
-    return state._transformed(factors, new_dressing)
+    dressing = dict(state.dressing)
+    for p in transform.lambdas:
+        f, d = transform.factor(p, state.n_sites), state.dressing_of(p)
+        dressing[p] = f if d is None else f @ d
+    return state._replace(dressing=dressing)
 
 
 def require_commuting(

@@ -73,7 +73,7 @@ def validate_kraus(ks: KrausSet, tol: float = 1e-10) -> KrausCheck:
 
 
 def _outcomes(state: GaugeState, ks: KrausSet) -> tuple[list[np.ndarray], np.ndarray]:
-    """E_k applied to the measured patch's wavefunction (picture-dressed), and P_k."""
+    """E_k applied to the measured patch's plain-gauge wavefunction, and P_k."""
     if ks.patch not in state.cover:
         raise ContractError(f"{ks.patch} is not a patch of the cover")
     check = validate_kraus(ks)
@@ -87,14 +87,8 @@ def _outcomes(state: GaugeState, ks: KrausSet) -> tuple[list[np.ndarray], np.nda
             f"state is inconsistent (defect {defect:.3e} > {CONSISTENCY_TOL:.1e}); "
             "measurement probabilities would be ambiguous"
         )
-    patch = ks.patch
-    psi = state.psi[patch]
-    d = state.dressing_of(patch)
-    w = psi if d is None else d.conj().T @ psi
-    vecs = []
-    for e in ks.operators:
-        v = apply_local(e, patch, state.n_sites, w)
-        vecs.append(v if d is None else d @ v)
+    psi = state.local[ks.patch]
+    vecs = [apply_local(e, ks.patch, state.n_sites, psi) for e in ks.operators]
     return vecs, np.array([float(np.linalg.norm(v)) ** 2 for v in vecs])
 
 

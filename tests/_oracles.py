@@ -132,9 +132,10 @@ def plus_state(n):
 def eager_layer_frames(state, gates):
     """Frames after a commuting layer, by the eager formula: every sandwich at once.
 
-    U_I -> U_I prod_(g near I) V_g^dag G V_g with V = D^dag U, and a gate's own
-    patch takes D G V. This keeps the package's `apply_local` and the same
-    matrix products in the same order, so results agree bit for bit.
+    U_I -> U_I prod_(g near I) U_g^dag G U_g on the stored (plain-gauge)
+    frames, and a gate's own patch takes G U. This keeps the package's
+    `apply_local` and the same matrix products in the same order, so results
+    agree bit for bit.
     """
     from gaugesim.lattice import apply_local
 
@@ -143,12 +144,11 @@ def eager_layer_frames(state, gates):
     sandwiches = {}
     for gp, g in gates.items():
         i = state.cover.index(gp)
-        d = state.dressing_of(gp)
-        v = state.frame_stack[i] if d is None else d.conj().T @ state.frame_stack[i]
+        v = state.frame_stack[i]
         gv = apply_local(g, gp, state.n_sites, v)
         if any(p != gp and p.overlaps(gp) for p in patches):
             sandwiches[gp] = v.conj().T @ gv
-        frames[i] = gv if d is None else d @ gv
+        frames[i] = gv
     for i, p in enumerate(patches):
         w = None
         for gp in gates:

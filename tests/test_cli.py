@@ -448,3 +448,9 @@ class TestRepoConfigs:
         assert fresh[0]["config_hash"] == golden[0]["config_hash"]
         for record in golden:
             jsonschema.validate(record, SCHEMA)
+        # the golden file pins behaviour: every numeric field to 1e-12 absolute
+        for new, old in zip(fresh, golden):
+            assert new.keys() == old.keys()
+            for key, value in old.items():
+                if isinstance(value, (int, float)) and not isinstance(value, bool):
+                    assert abs(new[key] - value) <= 1e-12, (old["type"], old.get("id"), key)

@@ -119,9 +119,20 @@ class TestInit:
 
 
 class TestIntegratorConfig:
-    def test_rejects_bad_dt(self):
-        with pytest.raises(ContractError):
-            IntegratorConfig(dt=0.0)
+    @pytest.mark.parametrize("dt", [0.0, np.nan, True, "1e-3"])
+    def test_rejects_bad_dt(self, dt):
+        with pytest.raises(ContractError, match="dt must be"):
+            IntegratorConfig(dt=dt)
+
+    @pytest.mark.parametrize("every", [-1, 2.5, True, "3"])
+    def test_rejects_bad_reunitarize_every(self, every):
+        # 2.5 would re-unitarize on every 5th step, and True on every step
+        with pytest.raises(ContractError, match="reunitarize_every must be"):
+            IntegratorConfig(reunitarize_every=every)
+
+    def test_accepts_numpy_scalars(self):
+        cfg = IntegratorConfig(dt=np.float64(1e-3), reunitarize_every=np.int64(3))
+        assert cfg.reunitarize_every == 3
 
     def test_rejects_unknown_scheme(self):
         # RK4 is the only integrator: there is no scheme option to set
@@ -563,6 +574,101 @@ class TestGaugeTransform:
         assert abs(
             moved.local_expectation(p, zz) - state.local_expectation(p, zz)
         ) < 1e-10
+
+
+class TestPlainGaugeStorage:
+    """Every variable is stored in the plain gauge, and only the read-outs apply the dressing."""
+
+    @staticmethod
+    def _states(mode):
+        """An evolved TFIM n = 5 state, and a transform dressing (0, 1) and (2, 3) by
+        full-dimension factors and (1, 2) and (2, 3) by patch-dimension ones; (3, 4)
+        stays undressed."""
+        h = tfim_chain(5, 1.0, 1.0)
+        state = init_gauge_state(plus_state(5), h.cover, mode=mode, hamiltonian=h)
+        state = evolve(state, h, 0.05, CFG)
+        rng = np.random.default_rng(97)
+        p01, p12, p23, _ = h.cover.patches
+        factors = {p01: random_unitary(32, rng), p12: random_unitary(4, rng), p23: random_unitary(32, rng)}
+        dressed = gauge_transform(state, GaugeTransform(factors))
+        dressed = gauge_transform(dressed, GaugeTransform({p23: random_unitary(4, rng)}))
+        return h, state, dressed
+
+    @staticmethod
+    def _stored(state):
+        return state.frame_stack if state.mode == GENERATOR else state.packed
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_transform_changes_only_the_dressing(self, mode):
+        _, state, dressed = self._states(mode)
+        assert self._stored(dressed) is self._stored(state)
+        assert dressed.base is state.base
+        assert (dressed.time, dressed.steps, dressed.cover) == (state.time, state.steps, state.cover)
+        assert not state.dressing
+        assert [p for p in state.cover.patches if dressed.dressing_of(p) is not None] == list(
+            state.cover.patches[:3]
+        )
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_dynamics_do_not_read_the_dressing(self, mode):
+        from gaugesim.measure import apply_measurement, site_projectors
+
+        h, state, dressed = self._states(mode)
+        rng = np.random.default_rng(101)
+        layer = {Patch((0, 1)): random_unitary(4, rng), Patch((2, 3)): random_unitary(4, rng)}
+        calls = [
+            lambda s: step(s, h, CFG),
+            lambda s: apply_commuting_layer(s, layer),
+            lambda s: apply_measurement(s, site_projectors(Patch((2, 3)), 3), outcome=0)[0],
+        ]
+        for call in calls:
+            plain, moved = call(state), call(dressed)
+            assert np.array_equal(self._stored(moved), self._stored(plain))
+            if mode == GENERATOR:
+                assert np.array_equal(moved.base, plain.base)
+            assert all(moved.dressing_of(p) is dressed.dressing_of(p) for p in state.cover.patches)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_read_outs_are_dressed_plain_values(self, mode):
+        h, state, dressed = self._states(mode)
+        patches = state.cover.patches
+
+        def want(x, a, b=None):
+            """D_a x D_b^dag, leaving out an undressed side."""
+            da = dressed.dressing_of(a)
+            db = None if b is None else dressed.dressing_of(b)
+            x = x if da is None else da @ x
+            return x if db is None else x @ db.conj().T
+
+        for a in patches:
+            assert np.array_equal(dressed.psi[a], want(state.psi[a], a))
+            if mode == GENERATOR:
+                assert np.array_equal(dressed.frames[a], want(state.frames[a], a))
+            h_eff = effective_hamiltonian(state, h, a)
+            assert np.array_equal(effective_hamiltonian(dressed, h, a), want(h_eff, a, a))
+            for b in patches:
+                if b != a:
+                    assert np.array_equal(dressed.connection(a, b), want(state.connection(a, b), a, b))
+        if mode == DIRECT:
+            for (i, j), c in state.connections.items():
+                assert np.array_equal(dressed.connections[(i, j)], want(c, patches[i], patches[j]))
+        # the undressed patch reads its stored array
+        assert np.shares_memory(dressed.psi[patches[3]], state.local[patches[3]])
+        # observables never read the dressing, so they keep their bits
+        zz = np.kron(PAULI_Z, PAULI_Z)
+        chain = [(patches[0], zz), (patches[2], np.kron(PAULI_X, np.eye(2)))]
+        assert dressed.correlator(chain) == state.correlator(chain)
+        assert dressed.local_expectation(patches[1], zz) == state.local_expectation(patches[1], zz)
+
+    def test_pairs_added_to_a_dressed_state_keep_it_consistent(self):
+        # a t = 0 direct state built without the Hamiltonian gains identity
+        # connections, which are right in the plain gauge whatever the dressing
+        h = tfim_chain_sitewise(4, 1.0, 1.0)
+        state = init_gauge_state(plus_state(4), h.cover, mode=DIRECT)
+        rng = np.random.default_rng(103)
+        g = GaugeTransform({p: random_unitary(16, rng) for p in h.cover.patches})
+        state = step(gauge_transform(state, g), h, CFG)
+        assert state.diagnostics(include_cocycle=False).consistency < 1e-12
 
 
 class TestCommutingLayers:

@@ -100,11 +100,11 @@ class TestProbabilities:
 
     def test_inconsistent_state_raises(self, evolved):
         _, _, state, _ = evolved
-        bad_psi = dict(state.psi)
+        bad_psi = dict(state.local)
         first = state.cover.patches[0]
         v = bad_psi[first] + 0.2
         bad_psi[first] = v / np.linalg.norm(v)
-        broken = state._replace(psi=bad_psi)
+        broken = state._replace(local=bad_psi)
         with pytest.raises(ContractError):
             measurement_probabilities(broken, site_projectors(Patch((0, 1)), 0))
 
