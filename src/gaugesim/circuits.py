@@ -8,14 +8,19 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ContractError
-from .gauge import GaugeState, GeneratorState, apply_commuting_layer, require_commuting
+from .gauge import (
+    GaugeState,
+    GeneratorState,
+    _dressed_window,
+    apply_commuting_layer,
+    require_commuting,
+)
 from .hamiltonian import LocalHamiltonian, LocalTerm
 from .lattice import (
     Patch,
     PatchCover,
+    _window_defects,
     apply_local,
-    operator_support,
-    site_identity_defects,
 )
 from .linalg import expm_hermitian, random_unitary, require_unitary
 from .reference import LazyMapping, ReferenceBundle
@@ -223,19 +228,23 @@ def audit_lightcone(
 ) -> LightConeAudit:
     """Check that the patch's frame and connections stay inside the light cone.
 
-    Supports come from `site_identity_defects`, which reads each matrix
-    through its window core, and each connection is the product of the two
-    frames' cores on the hull of their windows. So a brickwork frame whose
-    cone falls short of the chain is audited without a D x D product.
+    Supports come from the per-site identity defects of each matrix's window
+    core (`site_identity_defects` on its D x D form gives the same). The
+    frame's window is the stored one, and each connection's is the product of
+    the two frames' cores on the hull of their windows, so no D x D matrix is
+    formed while every window falls short of the chain. A dressed patch's
+    dressing D is multiplied in through its own window.
     """
     if not isinstance(state, GeneratorState):
         raise ContractError("light-cone audits need generator mode (frames required)")
     if patch not in state.cover:
         raise ContractError(f"{patch} is not a patch of the cover")
     n = state.n_sites
+    i = state.cover.index(patch)
+    d = state.dressing_of(patch)
     pred = LightConePrediction.chain(patch, depth, n)
-    defects = site_identity_defects(state.frames[patch])
-    support = {s for s, d in defects.items() if d > tol}
+    defects = _window_defects(_dressed_window(state.windows[i], n, d), n)
+    support = {s for s, x in defects.items() if x > tol}
     violations = sorted(support - pred.allowed_sites)
     conn_supports = {}
     if include_connections:
@@ -245,7 +254,9 @@ def audit_lightcone(
             pair_allowed = pred.allowed_sites | LightConePrediction.chain(
                 other, depth, n
             ).allowed_sites
-            c_support = operator_support(state.connection(patch, other), tol)
+            conn = state._connection_window(i, state.cover.index(other))
+            conn = _dressed_window(conn, n, d, state.dressing_of(other))
+            c_support = {s for s, x in _window_defects(conn, n).items() if x > tol}
             conn_supports[other] = tuple(sorted(c_support))
             violations.extend(sorted(c_support - pair_allowed))
     allowed_sorted = sorted(pred.allowed_sites)

@@ -46,9 +46,12 @@ from .lattice import (
     Patch,
     PatchCover,
     Window,
+    _apply_window,
+    _dagger,
     _hull,
     _lift,
     _mul,
+    _stripped,
     _window,
     apply_local,
     embed_operator,
@@ -76,6 +79,8 @@ class IntegratorConfig:
             raise ContractError(f"dt must be positive and finite, got {dt!r}")
         if isinstance(every, bool) or not isinstance(every, numbers.Integral) or every < 0:
             raise ContractError(f"reunitarize_every must be an integer >= 0, got {every!r}")
+        if not isinstance(self.renormalize, (bool, np.bool_)):
+            raise ContractError(f"renormalize must be a bool, got {self.renormalize!r}")
 
 
 class GaugeTransform:
@@ -129,6 +134,7 @@ class GaugeState:
     mode: str  # class constant of each mode
     _fields = ("cover", "time", "steps", "dressing")  # constructor arguments
     frame_stack: np.ndarray | None = None
+    windows: tuple[Window, ...] | None = None
     base: np.ndarray | None = None
     connections: dict[tuple[int, int], np.ndarray] | None = None
 
@@ -241,7 +247,8 @@ class GaugeState:
         """Identity defects; the cocycle sweep covers the first COCYCLE_TRIPLES triples.
 
         The unitarity sweep reads each frame or connection through its window
-        core (`lattice._window`): for M = 1 (x) C (x) 1 with a c x c core,
+        core (a generator state's `windows`; a direct-mode connection's found
+        by `lattice._window`): for M = 1 (x) C (x) 1 with a c x c core,
         ||M^dag M - 1||_F = sqrt(D / c) ||C^dag C - 1||_F, so a window-local
         matrix costs a c x c Gram instead of a D x D one. A dense matrix is its
         own core (scale 1.0), and its defect keeps the dense formula's bits.
@@ -249,8 +256,7 @@ class GaugeState:
         patches = self.cover.patches
         consistency = self.consistency()
         unitarity = 0.0
-        for m in self._unitarity_matrices():
-            _, _, core = _window(m)
+        for _, _, core in self._unitarity_windows():
             unitarity = max(unitarity, (self.dim / core.shape[0]) ** 0.5 * unitarity_defect(core))
         norm = max(
             abs(float(np.linalg.norm(v)) - 1.0) for v in self.local.values()
@@ -281,37 +287,69 @@ class GaugeState:
 class GeneratorState(GaugeState):
     """Generator mode: one frame unitary U_I per patch and psi_I = U_I base.
 
-    The plain-gauge frames are one (P, D, D) array, `frame_stack`, in cover
-    order; `frames` maps each patch to D_I U_I. Connections are U_I U_J^dag.
+    Each plain-gauge frame is stored in one of two forms, and the other is
+    derived from it once, when first read. A commuting layer and the t = 0
+    state store `windows`, each frame as a `lattice.Window` (lo, hi, core),
+    exactly 1 (x) core (x) 1; `frame_stack` lifts them to one (P, D, D)
+    array in cover order. An RK4 step stores `frame_stack`, and `windows`
+    finds each frame's window by value (`lattice._window`). Either way a
+    stored window is what `_window` finds on its frame. `frames` maps each
+    patch to D_I U_I. Connections are U_I U_J^dag.
     """
 
     mode = GENERATOR
-    _fields = GaugeState._fields + ("local", "frame_stack", "base")
+    _fields = GaugeState._fields + ("local", "base")
 
-    def __init__(self, cover, time, steps, local, frame_stack, base, dressing=None):
+    def __init__(self, cover, time, steps, local, base, dressing=None, *, frame_stack=None, windows=None):
         super().__init__(cover, time, steps, local, dressing)
-        self.frame_stack = frame_stack
         self.base = base
+        if frame_stack is not None:  # a stored form is the cached value of its property
+            self.frame_stack = frame_stack
+        if windows is not None:
+            self.windows = windows
 
-    def _with_frames(self, frames: np.ndarray) -> "GeneratorState":
-        local = dict(zip(self.cover.patches, frames @ self.base))
-        return self._replace(frame_stack=frames, local=local)
+    @functools.cached_property
+    def frame_stack(self) -> np.ndarray:
+        """The plain-gauge frames as one (P, D, D) array; lifted from `windows` unless stored."""
+        n = self.n_sites
+        stack = np.empty((len(self.cover), self.dim, self.dim), dtype=np.complex128)
+        for w, slot in zip(self.windows, stack):
+            _lift(w, 0, n - 1, out=slot)
+        return stack
+
+    @functools.cached_property
+    def windows(self) -> tuple[Window, ...]:
+        """Each plain-gauge frame's window; found by value in `frame_stack` unless stored."""
+        return tuple(_window(u) for u in self.frame_stack)
+
+    def _replace(self, **kw) -> "GeneratorState":
+        if "frame_stack" not in kw and "windows" not in kw:  # share every form derived so far
+            stored = vars(self)
+            kw.update(frame_stack=stored.get("frame_stack"), windows=stored.get("windows"))
+        return super()._replace(**kw)
+
+    def _with_windows(self, windows: Sequence[Window]) -> "GeneratorState":
+        n = self.n_sites
+        local = {p: _apply_window(w, n, self.base) for p, w in zip(self.cover.patches, windows)}
+        return self._replace(windows=tuple(windows), local=local)
+
+    def _connection_window(self, i: int, j: int) -> Window:
+        """U_I U_J^dag, multiplied through the frames' window cores on their hull."""
+        return _mul(self.windows[i], _dagger(self.windows[j]), self.n_sites)
 
     def _connection(self, i: int, j: int) -> np.ndarray:
-        """U_I U_J^dag, multiplied through the frames' window cores on their hull."""
-        n = self.n_sites
-        lo, hi, core = _window(self.frame_stack[j])
-        return _lift(_mul(_window(self.frame_stack[i]), (lo, hi, core.conj().T), n), 0, n - 1)
+        return _lift(self._connection_window(i, j), 0, self.n_sites - 1)
 
     def _transported(self, psi: list[np.ndarray]) -> Iterator[tuple[int, np.ndarray]]:
-        """(i, U_I U_J^dag psi_J) for every pair i < j, with U_J^dag psi_J formed once per J."""
-        frames = self.frame_stack
-        pulled = [u.conj().T @ v for u, v in zip(frames, psi)]
+        """(i, U_I U_J^dag psi_J) for every pair i < j, with U_J^dag psi_J formed once per J;
+        each frame acts through its window core."""
+        n, windows = self.n_sites, self.windows
+        pulled = [_apply_window(_dagger(w), n, v) for w, v in zip(windows, psi)]
         for i, j in itertools.combinations(range(len(psi)), 2):
-            yield i, frames[i] @ pulled[j]
+            yield i, _apply_window(windows[i], n, pulled[j])
 
-    def _unitarity_matrices(self) -> Iterable[np.ndarray]:
-        return self.frame_stack
+    def _unitarity_windows(self) -> Iterable[Window]:
+        return self.windows
 
     def _step(self, plan: StepPlan, config: IntegratorConfig, reunitarize: bool) -> "GeneratorState":
         t_next = self.time + config.dt
@@ -332,81 +370,66 @@ class GeneratorState(GaugeState):
     def _layered(self, gates: dict[Patch, np.ndarray]) -> "GeneratorState":
         """U_I -> U_I prod_(gates g near I) S_g, with S_g = U_g^dag G U_g.
 
-        Every factor is window-local, exactly 1 (x) core (x) 1 with its core on
-        a range of sites (`_window`). S_g is formed on the hull of U_g's range
-        and g's sites, and a patch's product on the hull of its own range and
-        its factors', in the eager formula's order: the near sandwiches left to
-        right into W, then U W (a gate's own patch takes G U W). A hull short
-        of the chain is multiplied at its own size and written into the frame
-        slot.
+        Every factor is a window, and every product is formed on the hull of
+        its factors' ranges (`lattice._mul`), in the eager formula's order:
+        S_g on the hull of U_g's window and g's sites, the near sandwiches
+        left to right into W, then U W (a gate's own patch takes G U W). A
+        patch's new window is `_window` run on its product's hull-sized core;
+        a patch away from every gate keeps its window.
 
-        A hull spanning the chain is the dense product of D x D lifts: G U is
-        written into the slot and S_g is formed from it when the first patch
-        needs it and freed after the last, so on a chain at most two
-        sandwiches (or lifts) and one scratch matrix are alive next to the
-        two frame stacks.
+        A hull spanning the chain is the dense product of D x D lifts. The
+        S_g of such a G U is formed when the first patch needs it and freed
+        after the last, so on a chain at most two sandwiches and one product
+        of two are alive next to the frames made so far.
         """
-        cover, n, old = self.cover, self.n_sites, self.frame_stack
+        cover, n, old = self.cover, self.n_sites, self.windows
         patches = cover.patches
-        frames = np.empty_like(old)
         near = [[gp for gp in gates if gp != p and gp.overlaps(p)] for p in patches]
         users = {gp: sum(gp in nr for nr in near) for gp in gates}  # yet to multiply by S_g
-        window = functools.cache(lambda i: _window(old[i]))
 
-        own: dict[Patch, Window | None] = {}  # G U of each gate patch; None: in its slot
+        own: dict[Patch, Window] = {}  # G U of each gate patch
         sandwiches: dict[Patch, Window] = {}
         for gp, g in gates.items():
             j = cover.index(gp)
-            lo, hi = _hull(window(j), (gp.sites[0], gp.sites[-1]))
-            if hi - lo + 1 == n:
-                apply_local(g, gp, n, old[j], out=frames[j])  # G U, read again by S_g
-                own[gp] = None
-            else:
-                v = _lift(window(j), lo, hi)
-                gv = apply_local(g, [s - lo for s in gp.sites], hi - lo + 1, v)
-                own[gp] = (lo, hi, gv)
-                if users[gp]:
-                    sandwiches[gp] = (lo, hi, v.conj().T @ gv)
-        scratch = np.empty_like(old[0])  # conj(U), then a patch's product of sandwiches
+            lo, hi = _hull(old[j], (gp.sites[0], gp.sites[-1]))
+            v = _lift(old[j], lo, hi)
+            gv = apply_local(g, [s - lo for s in gp.sites], hi - lo + 1, v)
+            own[gp] = (lo, hi, gv)
+            if users[gp] and hi - lo + 1 < n:
+                sandwiches[gp] = (lo, hi, v.conj().T @ gv)
+            del v, gv
 
         def sandwich(gp: Patch) -> Window:
-            if gp not in sandwiches:
-                j = cover.index(gp)
-                np.conjugate(old[j], out=scratch)
-                sandwiches[gp] = (0, n - 1, scratch.T @ frames[j])
+            if gp not in sandwiches:  # G U spans the chain: conj(U) is lifted into a fresh matrix
+                gu = own[gp][2]
+                u = _lift(old[cover.index(gp)], 0, n - 1, out=np.empty_like(gu))
+                sandwiches[gp] = (0, n - 1, np.conjugate(u, out=u).T @ gu)
             return sandwiches[gp]
 
+        windows = list(old)
         for i, p in enumerate(patches):
-            slot = frames[i]
-            if not near[i]:
-                if p not in gates:
-                    slot[...] = old[i]
-                elif own[p] is not None:
-                    _lift(own.pop(p), 0, n - 1, out=slot)
-                continue
             if users.get(p):
-                sandwich(p)  # read G U before the slot is overwritten below
+                sandwich(p)  # read G U before it leaves `own` below
+            if not near[i]:
+                if p in gates:
+                    windows[i] = _stripped(own.pop(p))
+                continue
             mats = [sandwich(gp) for gp in near[i]]
             w = mats[0]
             for s in mats[1:]:
-                w = _mul(w, s, n, out=scratch)
-            if p in gates:  # G U may sit in the slot, so the product is not written there
-                left, out = own.pop(p) or (0, n - 1, slot), None
-            else:
-                left, out = window(i), slot
-                if _hull(left, w) == (0, n - 1):
-                    left = (0, n - 1, old[i])  # the frame is its own lift
-            _lift(_mul(left, w, n, out=out), 0, n - 1, out=slot)
+                w = _mul(w, s, n)
+            windows[i] = _stripped(_mul(own.pop(p) if p in gates else old[i], w, n))
             for gp in near[i]:
                 users[gp] -= 1
                 if not users[gp]:
                     del sandwiches[gp]
             del mats, w  # a sandwich past its last user is freed here
-        return self._with_frames(frames)
+        return self._with_windows(windows)
 
     def _collapsed(self, patch: Patch, collapsed: np.ndarray) -> "GeneratorState":
-        new_base = self.frame_stack[self.cover.index(patch)].conj().T @ collapsed
-        local = dict(zip(self.cover.patches, self.frame_stack @ new_base))
+        n, windows = self.n_sites, self.windows
+        new_base = _apply_window(_dagger(windows[self.cover.index(patch)]), n, collapsed)
+        local = {p: _apply_window(w, n, new_base) for p, w in zip(self.cover.patches, windows)}
         local[patch] = collapsed
         return self._replace(local=local, base=new_base)
 
@@ -485,8 +508,8 @@ class DirectState(GaugeState):
         for (i, j), c in self.links.items():
             yield i, c @ psi[j]
 
-    def _unitarity_matrices(self) -> Iterable[np.ndarray]:
-        return self.links.values()
+    def _unitarity_windows(self) -> Iterable[Window]:
+        return map(_window, self.links.values())
 
     def _step(self, plan: StepPlan, config: IntegratorConfig, reunitarize: bool) -> "DirectState":
         count = len(plan.patches)
@@ -598,6 +621,15 @@ def _dressed(m: np.ndarray, left: np.ndarray | None, right: np.ndarray | None = 
     return m
 
 
+def _dressed_window(w: Window, n: int, left: np.ndarray | None, right: np.ndarray | None = None) -> Window:
+    """`_dressed` for a plain-gauge window w, multiplied through window cores."""
+    if left is not None:
+        w = _mul(_window(left), w, n)
+    if right is not None:
+        w = _mul(w, _dagger(_window(right)), n)
+    return w
+
+
 # ---------------------------------------------------------------------------
 # Construction
 # ---------------------------------------------------------------------------
@@ -629,9 +661,9 @@ def init_gauge_state(
     if mode == DIRECT:
         bare = DirectState(cover, 0.0, 0, packed=psi, keys=())
         return bare._with_pairs(required_pairs(cover, hamiltonian))
-    frames = np.repeat(np.eye(cover.dim, dtype=np.complex128)[None], len(cover), axis=0)
+    identity = (0, -1, np.ones((1, 1), dtype=np.complex128))  # the empty window
     psi = dict(zip(cover.patches, psi))
-    return GeneratorState(cover, 0.0, 0, psi, frame_stack=frames, base=psi0.copy())
+    return GeneratorState(cover, 0.0, 0, psi, psi0.copy(), windows=(identity,) * len(cover))
 
 
 # ---------------------------------------------------------------------------
@@ -828,16 +860,17 @@ def apply_commuting_layer(
     conjugated accordingly. Patches away from every gate are untouched.
 
     In generator mode every product is formed on the smallest range of sites
-    that holds its factors: a frame that is exactly the identity outside a
-    window of sites is multiplied through its window's core, so the frames
-    of a brickwork circuit from `init_gauge_state` cost products of the size
-    of their light cones, not D x D ones, until a cone spans the chain. Such
-    a layer holds the two frame stacks plus window-sized temporaries and one
-    D x D scratch matrix. A product spanning the chain is the dense one, and
-    a layer of those holds the two stacks plus (s + 1) D x D matrices, s
-    being the most gate sandwiches V^dag G V alive at once: each is formed
-    when the first patch needs it and freed after the last (s = 2 on a
-    chain brickwork).
+    that holds its factors: each frame is read and stored as its window, the
+    core of a frame that is exactly the identity outside a range of sites,
+    so the frames of a brickwork circuit from `init_gauge_state` cost
+    products of the size of their light cones, not D x D ones, until a cone
+    spans the chain. Such a layer holds its input and output windows plus
+    window-sized temporaries, and no D x D matrix. A product spanning the
+    chain is the dense one, and a layer of those holds, next to the frames,
+    at most s + 1 D x D temporaries (s + 2 where a window short of the chain
+    is lifted into such a product), s being the most gate sandwiches
+    V^dag G V alive at once: each is formed when the first patch needs it
+    and freed after the last (s = 2 on a chain brickwork).
     """
     checked: dict[Patch, np.ndarray] = {}  # in sorted patch order
     for patch in sorted(gates):

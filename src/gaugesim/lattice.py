@@ -305,15 +305,67 @@ def _lift(w: Window, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndar
     return out
 
 
-def _mul(a: Window, b: Window, n: int, out: np.ndarray | None = None) -> Window:
+def _mul(a: Window, b: Window, n: int) -> Window:
     """a @ b on the hull of their ranges.
 
     A hull short of the n-site chain is multiplied at its own size; a hull
-    spanning it is the dense product of the lifts, written into `out` if given.
+    spanning it is the dense product of the lifts.
     """
     lo, hi = _hull(a, b)
-    out = out if hi - lo + 1 == n else None
-    return lo, hi, np.matmul(_lift(a, lo, hi), _lift(b, lo, hi), out=out)
+    return lo, hi, _lift(a, lo, hi) @ _lift(b, lo, hi)
+
+
+def _stripped(w: Window) -> Window:
+    """w with the identity sites of its core stripped by value (`_window`).
+
+    The result is what `_window` finds on w's D x D lift: an all-identity
+    core gives the empty range (0, -1).
+    """
+    lo, hi, core = w
+    wlo, whi, core = _window(core)
+    if wlo > whi:
+        return 0, -1, core
+    return lo + wlo, lo + whi, core
+
+
+def _dagger(w: Window) -> Window:
+    """The adjoint of w, on the same range."""
+    lo, hi, core = w
+    return lo, hi, core.conj().T
+
+
+def _apply_window(w: Window, n: int, v: np.ndarray) -> np.ndarray:
+    """w @ v for a vector v of the n-site chain, through w's core.
+
+    A window spanning the chain is a dense matrix, multiplied as one.
+    """
+    lo, hi, core = w
+    if hi - lo + 1 == n:
+        return core @ v
+    if lo > hi:
+        return core[0, 0] * v
+    return apply_local(core, range(lo, hi + 1), n, v)
+
+
+def _window_defects(w: Window, n: int) -> dict[int, float]:
+    """`site_identity_defects` of the n-site operator 1 (x) core (x) 1 read from its core.
+
+    A site outside the window reads exactly 0.0, and a site inside it the
+    core's defect times sqrt(D / c) for a c x c core.
+    """
+    lo, hi, core = w
+    k = hi - lo + 1
+    scale = (2**n / core.shape[0]) ** 0.5
+    defects = dict.fromkeys(range(n), 0.0)
+    tensor = core.reshape([2] * (2 * k))
+    for s in range(k):
+        row_ax = k - 1 - s
+        col_ax = 2 * k - 1 - s
+        blocks = np.moveaxis(tensor, (row_ax, col_ax), (0, 1))
+        off = np.linalg.norm(blocks[0, 1]) ** 2 + np.linalg.norm(blocks[1, 0]) ** 2
+        diag = 0.5 * np.linalg.norm(blocks[0, 0] - blocks[1, 1]) ** 2
+        defects[lo + s] = float(np.sqrt(off + diag)) * scale
+    return defects
 
 
 def site_identity_defects(m) -> dict[int, float]:
@@ -332,19 +384,7 @@ def site_identity_defects(m) -> dict[int, float]:
     n = dim.bit_length() - 1
     if 2**n != dim:
         raise ContractError(f"operator dim {dim} is not a power of two")
-    lo, hi, core = _window(m)
-    k = hi - lo + 1
-    scale = (dim / core.shape[0]) ** 0.5
-    defects = dict.fromkeys(range(n), 0.0)
-    tensor = core.reshape([2] * (2 * k))
-    for s in range(k):
-        row_ax = k - 1 - s
-        col_ax = 2 * k - 1 - s
-        blocks = np.moveaxis(tensor, (row_ax, col_ax), (0, 1))
-        off = np.linalg.norm(blocks[0, 1]) ** 2 + np.linalg.norm(blocks[1, 0]) ** 2
-        diag = 0.5 * np.linalg.norm(blocks[0, 0] - blocks[1, 1]) ** 2
-        defects[lo + s] = float(np.sqrt(off + diag)) * scale
-    return defects
+    return _window_defects(_window(m), n)
 
 
 def operator_support(m, tol: float = 1e-10) -> set[int]:

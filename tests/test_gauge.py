@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import gaugesim.gauge as gauge_module
+import gaugesim.lattice as lattice_module
 from gaugesim.circuits import (
     LightConePrediction,
     audit_lightcone,
@@ -130,9 +131,17 @@ class TestIntegratorConfig:
         with pytest.raises(ContractError, match="reunitarize_every must be"):
             IntegratorConfig(reunitarize_every=every)
 
+    @pytest.mark.parametrize("renormalize", ["no", 0.0])
+    def test_rejects_non_bool_renormalize(self, renormalize):
+        # a non-empty string is truthy, so "no" would renormalize every step
+        with pytest.raises(ContractError, match="renormalize must be"):
+            IntegratorConfig(renormalize=renormalize)
+
     def test_accepts_numpy_scalars(self):
-        cfg = IntegratorConfig(dt=np.float64(1e-3), reunitarize_every=np.int64(3))
-        assert cfg.reunitarize_every == 3
+        cfg = IntegratorConfig(
+            dt=np.float64(1e-3), reunitarize_every=np.int64(3), renormalize=np.bool_(True)
+        )
+        assert cfg.reunitarize_every == 3 and cfg.renormalize
 
     def test_rejects_unknown_scheme(self):
         # RK4 is the only integrator: there is no scheme option to set
@@ -777,6 +786,40 @@ class TestCommutingLayers:
         assert new.diagnostics().consistency < 1e-12
 
 
+def _with_frames(state, frames):
+    """The generator state with the (P, D, D) frame stack `frames` stored, and its psi."""
+    return state._replace(frame_stack=frames, local=dict(zip(state.cover.patches, frames @ state.base)))
+
+
+def _dense_work_spy(monkeypatch, n):
+    """The list the generator layer appends to for every lift to the whole n-site chain,
+    product spanning it, and gate applied to a D x D matrix (`gauge._lift`, `gauge._mul`
+    and `gauge.apply_local` are spied on)."""
+    dense = []
+    lift, mul, apply = gauge_module._lift, gauge_module._mul, gauge_module.apply_local
+
+    def counting_lift(w, lo, hi, out=None):
+        if hi - lo + 1 == n:
+            dense.append("lift")
+        return lift(w, lo, hi, out)
+
+    def counting_mul(a, b, n_sites):
+        lo, hi, core = mul(a, b, n_sites)
+        if hi - lo + 1 == n:
+            dense.append("product")
+        return lo, hi, core
+
+    def counting_apply(op, where, n_sites, target, out=None):
+        if np.ndim(target) == 2 and n_sites == n:
+            dense.append("gate")
+        return apply(op, where, n_sites, target, out)
+
+    monkeypatch.setattr(gauge_module, "_lift", counting_lift)
+    monkeypatch.setattr(gauge_module, "_mul", counting_mul)
+    monkeypatch.setattr(gauge_module, "apply_local", counting_apply)
+    return dense
+
+
 def _dense_product_counter(dim):
     """An ndarray subclass and the list it appends to on every matmul of two
     D x D operands made with one of its arrays (a frame of the stack)."""
@@ -871,17 +914,25 @@ class TestStreamedLayer:
             gates[p] = h @ np.diag(np.exp(1j * rng.uniform(-np.pi, np.pi, p.dim))) @ h
         return gates
 
-    def test_fresh_layer_makes_no_dense_product(self):
+    def test_fresh_layer_makes_no_dense_product(self, monkeypatch):
         n = 6
         dim = 2**n
-        Counting, dense = _dense_product_counter(dim)
         rng = np.random.default_rng(79)
         state = init_gauge_state(random_state(dim, rng), nn_pair_cover(n))
-        state = state._replace(frame_stack=state.frame_stack.view(Counting))
-        first = apply_commuting_layer(state, self._brickwork_gates(n, 0, rng))
-        assert type(first.frame_stack) is Counting and not dense
-        apply_commuting_layer(first, self._brickwork_gates(n, 1, rng))
-        assert dense  # the counter sees the products of a layer on dense frames
+        dense = _dense_work_spy(monkeypatch, n)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            first = apply_commuting_layer(state, self._brickwork_gates(n, 0, rng))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert not dense and peak < 16 * dim**2  # not even one D x D matrix is allocated
+        assert "frame_stack" not in vars(first)
+        h = tfim_chain(n, 1.0, 1.0)
+        evolved = evolve(init_gauge_state(random_state(dim, rng), h.cover), h, 0.002, CFG)
+        apply_commuting_layer(evolved, self._brickwork_gates(n, 1, rng))
+        assert dense  # the spy sees the products of a layer on dense frames
 
     @pytest.mark.parametrize("offset", [0, 1])
     @pytest.mark.parametrize("prepare", ["fresh", "half_fresh", "partial_transform"])
@@ -996,17 +1047,15 @@ class TestWindowedLayer:
         matrix = 16 * 4**n
         assert peak <= (len(h.cover) + 3) * matrix + 256 * 1024
 
-    def test_partial_hulls_make_no_dense_product_or_temporary(self):
+    def test_partial_hulls_make_no_dense_product_or_temporary(self, monkeypatch):
         # after a depth-2 brickwork at n = 8 every frame spans at most 6 sites,
         # and no hull of a layer on the odd bonds spans all 8
         n = 8
         dim = 2**n
-        Counting, dense = _dense_product_counter(dim)
         rng = np.random.default_rng(131)
         state = init_gauge_state(random_state(dim, rng), nn_pair_cover(n))
-        state = state._replace(frame_stack=state.frame_stack.view(Counting))
         state = run_circuit(state, brickwork(n, 2, 137))
-        dense.clear()
+        dense = _dense_work_spy(monkeypatch, n)
         gates = TestStreamedLayer._brickwork_gates(n, 1, rng)
         tracemalloc.start()
         try:
@@ -1015,10 +1064,9 @@ class TestWindowedLayer:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert type(new.frame_stack) is Counting and not dense
-        # the output stack and the scratch matrix, and less than half a matrix more
-        matrix = 16 * dim**2
-        assert peak <= (len(state.cover) + 1) * matrix + matrix // 2
+        assert not dense and "frame_stack" not in vars(new)
+        # the new windows' cores and temporaries of their size: less than one D x D matrix
+        assert peak < 16 * dim**2
         assert np.abs(new.frame_stack - eager_layer_frames(state, gates)).max() <= 1e-14
 
 
@@ -1030,7 +1078,7 @@ class TestWindowedChecks:
         """A generator state on the one-patch cover whose frame is m."""
         n = m.shape[0].bit_length() - 1
         state = init_gauge_state(plus_state(n), PatchCover(n, [tuple(range(n))]))
-        return state._with_frames(np.array(m, dtype=complex)[None])
+        return _with_frames(state, np.array(m, dtype=complex)[None])
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_window_local_unitarity_matches_the_dense_formula(self, n):
@@ -1060,8 +1108,9 @@ class TestWindowedChecks:
             packed[len(cover) :] *= scale  # the connection rows
             state = state._replace(packed=packed)
         else:
-            state = state._with_frames(scale * state.frame_stack)
-        want = max(dense_unitarity_defect(m) for m in state._unitarity_matrices())
+            state = _with_frames(state, scale * state.frame_stack)
+        stored = state.frame_stack if mode == GENERATOR else state.connections.values()
+        want = max(dense_unitarity_defect(m) for m in stored)
         assert abs(state.diagnostics().unitarity - want) <= 1e-13 * max(1.0, want)
         assert (want > 1e-3) == (scale != 1.0)
 
@@ -1113,7 +1162,7 @@ class TestWindowedChecks:
         the products spanning the chain, over diagnostics() and every patch's audit."""
         dim, n = state.dim, state.n_sites
         Counting, dense = _dense_product_counter(dim)
-        state = state._with_frames(state.frame_stack.view(Counting))
+        state = _with_frames(state, state.frame_stack.view(Counting))
         grams, spanning = [], []
         defect, mul = gauge_module.unitarity_defect, gauge_module._mul
 
@@ -1121,8 +1170,8 @@ class TestWindowedChecks:
             grams.append(np.shape(m) == (dim, dim))
             return defect(m)
 
-        def counting_mul(a, b, n_sites, out=None):
-            lo, hi, core = mul(a, b, n_sites, out)
+        def counting_mul(a, b, n_sites):
+            lo, hi, core = mul(a, b, n_sites)
             spanning.append(hi - lo + 1 == n)
             return lo, hi, core
 
@@ -1150,6 +1199,125 @@ class TestWindowedChecks:
         state = evolve(init_gauge_state(random_state(2**n, rng), h.cover), h, 0.002, CFG)
         products, grams, spanning = self._dense_checks(state, 2, monkeypatch)
         assert products > 0 and grams == len(h.cover) and spanning > 0
+
+
+class TestWindowStorage:
+    """A layer stores each frame as its window; a stored window is what `_window` finds."""
+
+    @staticmethod
+    def _check_windows(state):
+        """The windows equal `_window` on `frame_stack` in range, and their cores bitwise."""
+        for (lo, hi, core), frame in zip(state.windows, state.frame_stack):
+            wlo, whi, want = lattice_module._window(frame)
+            assert (lo, hi) == (wlo, whi)
+            assert np.array_equal(core, want)
+
+    def test_every_layer_of_a_brickwork(self):
+        n = 8
+        rng = np.random.default_rng(191)
+        state = init_gauge_state(random_state(2**n, rng), nn_pair_cover(n))
+        circ = brickwork(n, 5, 193)
+        for k in range(circ.depth):
+            state = apply_commuting_layer(state, circ.layer_gates(k))
+            assert "frame_stack" not in vars(state)  # windows are the stored form
+            self._check_windows(state)
+        assert any(hi - lo + 1 == n for lo, hi, _ in state.windows)  # both kinds are met
+        assert any(hi - lo + 1 < n for lo, hi, _ in state.windows)
+
+    def test_windows_hold_no_identity_site(self):
+        # X on site 1 of (0, 1) and an identity gate on (2, 3): the hulls of the
+        # layer's products hold identity sites, which the stored windows drop
+        n = 6
+        rng = np.random.default_rng(239)
+        state = init_gauge_state(random_state(2**n, rng), nn_pair_cover(n))
+        gates = {
+            Patch((0, 1)): np.kron(PAULI_X, np.eye(2)),
+            Patch((2, 3)): np.eye(4),
+            Patch((4, 5)): random_unitary(4, rng),
+        }
+        state = apply_commuting_layer(state, gates)
+        assert [w[:2] for w in state.windows] == [(1, 1), (1, 1), (0, -1), (4, 5), (4, 5)]
+        self._check_windows(state)
+
+    def test_after_a_partial_transform_and_a_measurement(self):
+        from gaugesim.measure import apply_measurement, site_projectors
+
+        n = 6
+        rng = np.random.default_rng(197)
+        cover = nn_pair_cover(n)
+        state = run_circuit(init_gauge_state(random_state(2**n, rng), cover), brickwork(n, 2, 199))
+        moved = gauge_transform(state, GaugeTransform({Patch((2, 3)): random_unitary(4, rng)}))
+        assert moved.windows is state.windows
+        self._check_windows(moved)
+        layered = apply_commuting_layer(moved, TestStreamedLayer._brickwork_gates(n, 0, rng))
+        assert "frame_stack" not in vars(layered)
+        self._check_windows(layered)
+        measured, _ = apply_measurement(layered, site_projectors(Patch((2, 3)), 3), outcome=0)
+        assert measured.windows is layered.windows
+        self._check_windows(measured)
+
+    def test_after_a_layer_on_evolved_frames(self):
+        n = 6
+        h = tfim_chain(n, 1.0, 1.0)
+        rng = np.random.default_rng(211)
+        state = evolve(init_gauge_state(random_state(2**n, rng), h.cover), h, 0.01, CFG)
+        assert "windows" not in vars(state)  # an RK4 step stores the stack
+        new = apply_commuting_layer(state, TestStreamedLayer._brickwork_gates(n, 1, rng))
+        assert "frame_stack" not in vars(new)
+        self._check_windows(new)
+
+    def test_circuit_body_at_n10_allocates_less_than_one_matrix(self):
+        from gaugesim.measure import apply_measurement, measurement_probabilities, site_projectors
+
+        n, depth = 10, 3
+        rng = np.random.default_rng(223)
+        psi0 = random_state(2**n, rng)
+        cover = nn_pair_cover(n)
+        circ = brickwork(n, depth, 227)
+        ks = site_projectors(Patch((4, 5)), 5)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            state = init_gauge_state(psi0, cover)
+            for k in range(depth):
+                state = apply_commuting_layer(state, circ.layer_gates(k))
+            state.diagnostics(include_cocycle=False)
+            assert audit_lightcone(state, Patch((4, 5)), depth).ok
+            probs = measurement_probabilities(state, ks)
+            zz = np.kron(PAULI_Z, PAULI_Z)
+            values = {p: state.local_expectation(p, zz) for p in cover.patches}
+            apply_measurement(state, ks, outcome=0)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 4**n  # one D x D matrix
+        psi = circuit_reference(circ, cover, psi0).psi_schrodinger
+        for p, value in values.items():
+            assert abs(value - np.vdot(psi, embed_operator(zz, p, n) @ psi)) < 1e-8
+        p0 = np.linalg.norm(embed_operator(ks.operators[0], ks.patch, n) @ psi) ** 2
+        assert abs(probs[0] - p0) < 1e-8
+
+    def test_audits_read_the_stored_windows(self, monkeypatch):
+        n = 8
+        rng = np.random.default_rng(229)
+        state = run_circuit(
+            init_gauge_state(random_state(2**n, rng), nn_pair_cover(n)), brickwork(n, 2, 233)
+        )
+        want = {p: audit_lightcone(state, p, 2) for p in state.cover.patches}
+        found = []
+        window = lattice_module._window
+
+        def counting_window(m):
+            found.append(m.shape)
+            return window(m)
+
+        monkeypatch.setattr(lattice_module, "_window", counting_window)
+        monkeypatch.setattr(gauge_module, "_window", counting_window)
+        for p in state.cover.patches:
+            audit = audit_lightcone(state, p, 2)
+            assert audit.site_defects == want[p].site_defects
+            assert audit.connection_supports == want[p].connection_supports
+        assert not found  # no window is searched for by value
 
 
 class TestDiagnostics:
@@ -1282,9 +1450,13 @@ class TestFrameStack:
         _, _, state, _ = tfim4_evolved
         gates = {Patch((0, 1)): random_unitary(4, np.random.default_rng(2))}
         layered = apply_commuting_layer(state, gates)
-        assert layered.frame_stack.shape == state.frame_stack.shape
+        # a layer stores windows; the stack is lifted from them once, when read
+        assert "frame_stack" not in vars(layered)
         measured, _ = apply_measurement(layered, site_projectors(Patch((1, 2)), 1), outcome=0)
-        assert measured.frame_stack is layered.frame_stack
+        assert measured.windows is layered.windows
+        assert "frame_stack" not in vars(measured)
+        assert layered.frame_stack.shape == state.frame_stack.shape
+        assert layered.frame_stack is layered.frame_stack
 
 
 class TestModeClasses:
