@@ -23,7 +23,7 @@ from .lattice import (
     apply_local,
 )
 from .linalg import expm_hermitian, random_unitary, require_unitary
-from .reference import LazyMapping, ReferenceBundle
+from .reference import LazyMapping, ReferenceBundle, _require_normalized
 
 
 @dataclass(frozen=True)
@@ -68,11 +68,16 @@ class Circuit:
 
     def unitary(self) -> np.ndarray:
         """Full circuit unitary; layer 0 acts first."""
-        u = np.eye(2**self.n_sites, dtype=np.complex128)
-        for i in range(self.depth):
-            for g in self.layers[i]:
-                u = apply_local(g.op, g.patch, self.n_sites, u)
-        return u
+        return _apply_gates(self, np.eye(2**self.n_sites, dtype=np.complex128))
+
+
+def _apply_gates(circuit: Circuit, target: np.ndarray, skip: Patch | None = None) -> np.ndarray:
+    """The gates applied to a vector or matrix target, layer 0 first, less any overlapping `skip`."""
+    for layer in circuit.layers:
+        for g in layer:
+            if skip is None or not g.patch.overlaps(skip):
+                target = apply_local(g.op, g.patch, circuit.n_sites, target)
+    return target
 
 
 def brickwork(n: int, depth: int, gate_source: int | np.random.Generator = 0) -> Circuit:
@@ -120,30 +125,27 @@ def run_circuit(state: GaugeState, circuit: Circuit) -> GaugeState:
 def circuit_reference(circuit: Circuit, cover: PatchCover, psi0) -> ReferenceBundle:
     """Reference gauge variables after a circuit, from global gate products.
 
-    For each patch the complement propagator is the same circuit with every
-    gate overlapping the patch removed, computed when it is first read; the
-    full product gives the global propagator. All bundle quantities follow
-    from those two.
+    `psi_schrodinger` is the circuit's gates applied to psi0, at the cost of
+    gate applications to a vector. The global propagator is the same gates
+    applied to the identity, and each patch's complement propagator the
+    circuit with every gate overlapping the patch removed; both are built on
+    first read and cached. All bundle quantities follow from these.
     """
     if circuit.n_sites != cover.n_sites:
         raise ContractError("circuit and cover disagree on the number of sites")
-    psi0 = np.asarray(psi0, dtype=np.complex128)
-    propagator = circuit.unitary()
+    psi0 = _require_normalized(psi0)
+    if psi0.shape[0] != cover.dim:
+        raise ContractError(f"psi0 has length {psi0.shape[0]}, expected {cover.dim}")
 
     def complement(p: Patch) -> np.ndarray:
-        u = np.eye(2**circuit.n_sites, dtype=np.complex128)
-        for layer in circuit.layers:
-            for g in layer:
-                if not g.patch.overlaps(p):
-                    u = apply_local(g.op, g.patch, circuit.n_sites, u)
-        return u
+        return _apply_gates(circuit, np.eye(cover.dim, dtype=np.complex128), skip=p)
 
     return ReferenceBundle(
         cover=cover,
         time=float(circuit.depth),
-        propagator=propagator,
+        unitary=circuit.unitary,
         complements=LazyMapping(cover.patches, complement),
-        psi_schrodinger=propagator @ psi0,
+        psi_schrodinger=_apply_gates(circuit, psi0),
     )
 
 

@@ -4,7 +4,7 @@ Everything here is deliberately global and simple: closed-form propagators
 from eigendecompositions for time-independent Hamiltonians, fine-step RK4 on
 the linear equations of motion otherwise. These quantities are the oracle
 against which the locally-integrated dynamics is checked, so clarity wins
-over speed throughout.
+over speed, save that a `ReferenceBundle` forms D x D matrices only when read.
 """
 
 from __future__ import annotations
@@ -54,15 +54,19 @@ class ReferenceBundle:
     `complements` holds, for each patch, the propagator generated by the
     Hamiltonian terms that do not touch the patch; it relates the per-patch
     wavefunctions to the global one: psi_patch = complement^dag psi_global,
-    frame = complement^dag propagator. It may be a `LazyMapping`, and `frames`
-    and `psi` are built from it on first access and cached.
+    frame = complement^dag propagator. It may be a `LazyMapping`. `unitary`
+    builds the propagator; it, `frames` and `psi` are cached on first access.
     """
 
     cover: PatchCover
     time: float
-    propagator: np.ndarray
+    unitary: Callable[[], np.ndarray]
     complements: Mapping[Patch, np.ndarray]
     psi_schrodinger: np.ndarray
+
+    @cached_property
+    def propagator(self) -> np.ndarray:
+        return self.unitary()
 
     @cached_property
     def frames(self) -> dict[Patch, np.ndarray]:
@@ -181,7 +185,7 @@ def reference_gauge_state(
     return ReferenceBundle(
         cover=cover,
         time=float(t),
-        propagator=propagator,
+        unitary=lambda: propagator,
         complements=complements,
         psi_schrodinger=propagator @ psi0,
     )

@@ -24,7 +24,7 @@ from gaugesim.hamiltonian import PAULI_X, PAULI_Z
 from gaugesim.lattice import Patch, apply_local, embed_operator, nn_pair_cover
 from gaugesim.linalg import expm_hermitian, frobenius_distance, random_unitary
 
-from _oracles import plus_state
+from _oracles import plus_state, random_state
 
 
 class TestBrickwork:
@@ -175,31 +175,99 @@ class TestRunCircuit:
         with pytest.raises(ContractError):
             run_circuit(state, brickwork(4, 1))
 
-    def test_complements_are_computed_on_first_read(self, monkeypatch):
+    @staticmethod
+    def _spy_gate_applications(monkeypatch) -> list:
+        """(patch, target ndim) of each `apply_local` call the circuits module makes."""
         import gaugesim.circuits as circuits_module
 
         calls = []
         original = circuits_module.apply_local
 
         def counted(*args):
-            calls.append(args[1])
+            calls.append((args[1], np.ndim(args[3])))
             return original(*args)
 
         monkeypatch.setattr(circuits_module, "apply_local", counted)
+        return calls
+
+    def test_complements_are_computed_on_first_read(self, monkeypatch):
+        calls = self._spy_gate_applications(monkeypatch)
         n = 5
         cover = nn_pair_cover(n)
         circ = brickwork(n, 3, gate_source=71)
-        gate_count = sum(len(layer) for layer in circ.layers)
+        gates = [g.patch for layer in circ.layers for g in layer]
         ref = circuit_reference(circ, cover, plus_state(n))
         assert ref.psi_schrodinger.shape == (2**n,)
-        assert len(calls) == gate_count  # the propagator only: no complement yet
+        assert calls == [(g, 1) for g in gates]  # one walk on psi0, no matrix
+        calls.clear()
+        propagator = ref.propagator
+        assert calls == [(g, 2) for g in gates]  # the D x D walk, once
+        assert ref.propagator is propagator  # cached
+        assert len(calls) == len(gates)
         p = cover.patches[1]
         first = ref.complements[p]
-        away = sum(not g.patch.overlaps(p) for layer in circ.layers for g in layer)
-        assert len(calls) == gate_count + away
+        away = [g for g in gates if not g.overlaps(p)]
+        assert calls[len(gates):] == [(g, 2) for g in away]
         assert ref.complements[p] is first  # cached
-        assert len(calls) == gate_count + away
+        assert len(calls) == len(gates) + len(away)
         assert list(ref.complements) == list(cover.patches) and len(ref.complements) == len(cover)
+        assert np.array_equal(propagator, circ.unitary())
+
+    def test_frames_build_the_propagator_once(self, monkeypatch):
+        calls = self._spy_gate_applications(monkeypatch)
+        n = 5
+        cover = nn_pair_cover(n)
+        circ = brickwork(n, 3, gate_source=79)
+        gates = [g.patch for layer in circ.layers for g in layer]
+        ref = circuit_reference(circ, cover, plus_state(n))
+        calls.clear()
+        frames = ref.frames
+        away = sum(not g.overlaps(p) for p in cover.patches for g in gates)
+        assert len(calls) == len(gates) + away  # one full walk, one walk per complement
+        assert all(ndim == 2 for _, ndim in calls)
+        for p in cover.patches:
+            assert np.array_equal(frames[p], ref.complements[p].conj().T @ ref.propagator)
+        assert len(calls) == len(gates) + away
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_psi_schrodinger_is_the_propagator_on_psi0(self, n):
+        cover = nn_pair_cover(n)
+        for seed in range(4):
+            rng = np.random.default_rng(100 * n + seed)
+            psi0 = random_state(2**n, rng)
+            circ = brickwork(n, 4, rng)
+            ref = circuit_reference(circ, cover, psi0)
+            assert np.linalg.norm(ref.psi_schrodinger - circ.unitary() @ psi0) < 1e-13
+
+    def test_psi_schrodinger_at_n10_allocates_a_few_vectors(self):
+        import tracemalloc
+
+        n = 10
+        psi0 = random_state(2**n, np.random.default_rng(83))
+        circ, cover = brickwork(n, 3, gate_source=89), nn_pair_cover(n)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            circuit_reference(circ, cover, psi0).psi_schrodinger
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 16 * 2**n  # four vectors; one D x D matrix is 16 * 4**n
+
+    def test_rejects_an_unnormalized_psi0(self):
+        n = 4
+        with pytest.raises(ContractError, match="not normalized"):
+            circuit_reference(brickwork(n, 2), nn_pair_cover(n), np.ones(2**n))
+
+    @pytest.mark.parametrize(
+        "psi0", [plus_state(3), plus_state(4)[:, None]], ids=["length-8", "column"]
+    )
+    @pytest.mark.parametrize("depth", [0, 2])
+    def test_rejects_a_psi0_of_the_wrong_shape(self, psi0, depth):
+        n = 4
+        circ = Circuit(n, brickwork(n, 2).layers[:depth])
+        with pytest.raises(ContractError):
+            circuit_reference(circ, nn_pair_cover(n), psi0)
 
     def test_lazy_complements_equal_the_eager_products(self):
         n = 5

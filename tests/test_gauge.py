@@ -1287,11 +1287,11 @@ class TestWindowStorage:
             zz = np.kron(PAULI_Z, PAULI_Z)
             values = {p: state.local_expectation(p, zz) for p in cover.patches}
             apply_measurement(state, ks, outcome=0)
+            psi = circuit_reference(circ, cover, psi0).psi_schrodinger
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
         assert peak < 16 * 4**n  # one D x D matrix
-        psi = circuit_reference(circ, cover, psi0).psi_schrodinger
         for p, value in values.items():
             assert abs(value - np.vdot(psi, embed_operator(zz, p, n) @ psi)) < 1e-8
         p0 = np.linalg.norm(embed_operator(ks.operators[0], ks.patch, n) @ psi) ** 2
