@@ -22,8 +22,8 @@ from .lattice import (
     _window_defects,
     apply_local,
 )
-from .linalg import expm_hermitian, random_unitary, require_unitary
-from .reference import LazyMapping, ReferenceBundle, _require_normalized
+from .linalg import expm_hermitian, random_unitary, require_normalized, require_unitary
+from .reference import LazyMapping, ReferenceBundle
 
 
 @dataclass(frozen=True)
@@ -133,9 +133,7 @@ def circuit_reference(circuit: Circuit, cover: PatchCover, psi0) -> ReferenceBun
     """
     if circuit.n_sites != cover.n_sites:
         raise ContractError("circuit and cover disagree on the number of sites")
-    psi0 = _require_normalized(psi0)
-    if psi0.shape[0] != cover.dim:
-        raise ContractError(f"psi0 has length {psi0.shape[0]}, expected {cover.dim}")
+    psi0 = require_normalized(psi0, cover.dim)
 
     def complement(p: Patch) -> np.ndarray:
         return _apply_gates(circuit, np.eye(cover.dim, dtype=np.complex128), skip=p)
@@ -256,7 +254,7 @@ def audit_lightcone(
             pair_allowed = pred.allowed_sites | LightConePrediction.chain(
                 other, depth, n
             ).allowed_sites
-            conn = state._connection_window(i, state.cover.index(other))
+            conn = state._connection(i, state.cover.index(other))
             conn = _dressed_window(conn, n, d, state.dressing_of(other))
             c_support = {s for s, x in _window_defects(conn, n).items() if x > tol}
             conn_supports[other] = tuple(sorted(c_support))

@@ -43,11 +43,13 @@ from .errors import ContractError, DivergenceError
 from .hamiltonian import LocalHamiltonian, StepPlan
 from .integrate import rk4_step, time_grid
 from .lattice import (
+    _IDENTITY,
     Patch,
     PatchCover,
     Window,
     _apply_window,
     _dagger,
+    _distance,
     _hull,
     _lift,
     _mul,
@@ -57,7 +59,7 @@ from .lattice import (
     embed_operator,
     operator_support,
 )
-from .linalg import as_state, polar_unitary, require_unitary, unitarity_defect
+from .linalg import polar_unitary, require_normalized, require_unitary, unitarity_defect
 
 GENERATOR = "generator"
 DIRECT = "direct"
@@ -126,9 +128,11 @@ class GaugeState:
     on their variables (the ones a mode does not store read None). Those are
     stored in the plain gauge, `local` holding the wavefunctions; `dressing`
     records each patch's gauge factor D_I, which only the read-outs apply
-    (`psi` is D_I psi_I). Treat instances as immutable: evolution and
-    transformation functions return new states. Observable queries are
-    read-only.
+    (`psi` is D_I psi_I). Each mode gives a connection U_IJ as one window,
+    `_connection(i, j)` (the empty window for i == j), which every reader
+    takes; `connection` is the one read-out that lifts it to D x D. Treat
+    instances as immutable: evolution and transformation functions return new
+    states. Observable queries are read-only.
     """
 
     mode: str  # class constant of each mode
@@ -186,15 +190,8 @@ class GaugeState:
 
     def connection(self, a: Patch, b: Patch) -> np.ndarray:
         """The unitary D_a U_ab D_b^dag transporting patch b's wavefunction to patch a's frame."""
-        return _dressed(self._plain_connection(a, b), self.dressing_of(a), self.dressing_of(b))
-
-    def _plain_connection(self, a: Patch, b: Patch) -> np.ndarray:
-        """The plain-gauge connection U_ab; the identity for a == b."""
-        ia = self.cover.index(a)
-        ib = self.cover.index(b)
-        if ia == ib:
-            return np.eye(self.dim, dtype=np.complex128)
-        return self._connection(ia, ib)
+        u = self._connection(self.cover.index(a), self.cover.index(b))
+        return _dressed(_lift(u, 0, self.n_sites - 1), self.dressing_of(a), self.dressing_of(b))
 
     # -- observables -----------------------------------------------------
 
@@ -220,18 +217,20 @@ class GaugeState:
         return complex(np.vdot(psi, self._apply(patch, op, psi)))
 
     def correlator(self, chain: Sequence[tuple[Patch, np.ndarray]]) -> complex:
-        """<psi_{I_1}| A_1 U_{I_1 I_2} A_2 ... A_m |psi_{I_m}> for patch-supported A_k."""
+        """<psi_{I_1}| A_1 U_{I_1 I_2} A_2 ... A_m |psi_{I_m}> for patch-supported A_k.
+
+        Each connection acts on the running vector through its window, so
+        no D x D matrix is formed while the windows fall short of the chain.
+        """
         if not chain:
             raise ContractError("correlator needs at least one (patch, operator) pair")
-        patches = [p for p, _ in chain]
-        for p in patches:
-            if p not in self.cover:
-                raise ContractError(f"{p} is not a patch of the cover")
-        vec = self._apply(patches[-1], chain[-1][1], self.local[patches[-1]])
-        for (patch, op), nxt in zip(reversed(chain[:-1]), reversed(patches[1:])):
-            vec = self._plain_connection(patch, nxt) @ vec
+        index = [self.cover.index(p) for p, _ in chain]  # a patch outside the cover raises
+        last, op = chain[-1]
+        vec = self._apply(last, op, self.local[last])
+        for (patch, op), i, j in reversed(list(zip(chain, index, index[1:]))):
+            vec = _apply_window(self._connection(i, j), self.n_sites, vec)
             vec = self._apply(patch, op, vec)
-        return complex(np.vdot(self.local[patches[0]], vec))
+        return complex(np.vdot(self.local[chain[0][0]], vec))
 
     # -- diagnostics -------------------------------------------------------
 
@@ -252,6 +251,8 @@ class GaugeState:
         ||M^dag M - 1||_F = sqrt(D / c) ||C^dag C - 1||_F, so a window-local
         matrix costs a c x c Gram instead of a D x D one. A dense matrix is its
         own core (scale 1.0), and its defect keeps the dense formula's bits.
+        The cocycle sweep multiplies connection windows on their hulls, where
+        a hull spanning the chain is the dense sweep with its bits.
         """
         patches = self.cover.patches
         consistency = self.consistency()
@@ -266,6 +267,7 @@ class GaugeState:
             triples = itertools.islice(
                 itertools.combinations(range(len(patches)), 3), COCYCLE_TRIPLES
             )
+            n = self.n_sites
             for i, j, k in triples:
                 try:
                     c_ij = self._connection(i, j)
@@ -273,9 +275,7 @@ class GaugeState:
                     c_ik = self._connection(i, k)
                 except ContractError:
                     continue  # disconnected pair graph: no loop to test
-                cocycle = max(
-                    cocycle, float(np.linalg.norm(c_ij @ c_jk - c_ik))
-                )
+                cocycle = max(cocycle, _distance(_mul(c_ij, c_jk, n), c_ik, n))
         return DefectReport(
             consistency=consistency,
             cocycle=cocycle,
@@ -333,12 +333,11 @@ class GeneratorState(GaugeState):
         local = {p: _apply_window(w, n, self.base) for p, w in zip(self.cover.patches, windows)}
         return self._replace(windows=tuple(windows), local=local)
 
-    def _connection_window(self, i: int, j: int) -> Window:
+    def _connection(self, i: int, j: int) -> Window:
         """U_I U_J^dag, multiplied through the frames' window cores on their hull."""
+        if i == j:
+            return _IDENTITY
         return _mul(self.windows[i], _dagger(self.windows[j]), self.n_sites)
-
-    def _connection(self, i: int, j: int) -> np.ndarray:
-        return _lift(self._connection_window(i, j), 0, self.n_sites - 1)
 
     def _transported(self, psi: list[np.ndarray]) -> Iterator[tuple[int, np.ndarray]]:
         """(i, U_I U_J^dag psi_J) for every pair i < j, with U_J^dag psi_J formed once per J;
@@ -487,7 +486,10 @@ class DirectState(GaugeState):
                     queue.append(v)
         return parent
 
-    def _connection(self, i: int, j: int) -> np.ndarray:
+    def _connection(self, i: int, j: int) -> Window:
+        """The stored connections multiplied along the walk, as a window spanning the chain."""
+        if i == j:
+            return _IDENTITY
         parent = self._walk(i)  # a stored (i, j) is found as the one-link path
         if j not in parent:
             raise ContractError(
@@ -498,10 +500,8 @@ class DirectState(GaugeState):
         while path[-1] != i:
             path.append(parent[path[-1]])
         path.reverse()
-        out = _oriented(self.links, path[0], path[1])
-        for u, v in zip(path[1:], path[2:]):
-            out = out @ _oriented(self.links, u, v)
-        return out
+        links = [_oriented(self.links, u, v) for u, v in zip(path, path[1:])]
+        return 0, self.n_sites - 1, functools.reduce(np.matmul, links)  # left to right
 
     def _transported(self, psi: list[np.ndarray]) -> Iterator[tuple[int, np.ndarray]]:
         """(i, U_IJ psi_J) for every stored connection (i, j)."""
@@ -569,7 +569,7 @@ class DirectState(GaugeState):
                 if not gp.overlaps(p):
                     continue
                 j = self.cover.index(gp)
-                c = None if i == j else self._connection(i, j)
+                c = None if i == j else _lift(self._connection(i, j), 0, self.n_sites - 1)
                 contrib = _conjugated(g, gp, self.n_sites, c)
                 w = contrib if w is None else w @ contrib
             ops.append(w)
@@ -649,21 +649,15 @@ def init_gauge_state(
     hamiltonian: LocalHamiltonian | None = None,
 ) -> GaugeState:
     """The t=0 state: every patch carries psi0, all frames and connections trivial."""
-    psi0 = as_state(psi0)
-    if psi0.shape[0] != cover.dim:
-        raise ContractError(f"psi0 dim {psi0.shape[0]} != 2^{cover.n_sites}")
-    norm = float(np.linalg.norm(psi0))
-    if abs(norm - 1.0) > 1e-10:
-        raise ContractError(f"psi0 must be normalized, got norm {norm!r}")
+    psi0 = require_normalized(psi0, cover.dim)
     if mode not in MODES:
         raise ContractError(f"unknown mode {mode!r}")
     psi = np.repeat(psi0[None, :], len(cover), axis=0)
     if mode == DIRECT:
         bare = DirectState(cover, 0.0, 0, packed=psi, keys=())
         return bare._with_pairs(required_pairs(cover, hamiltonian))
-    identity = (0, -1, np.ones((1, 1), dtype=np.complex128))  # the empty window
     psi = dict(zip(cover.patches, psi))
-    return GeneratorState(cover, 0.0, 0, psi, psi0.copy(), windows=(identity,) * len(cover))
+    return GeneratorState(cover, 0.0, 0, psi, psi0.copy(), windows=(_IDENTITY,) * len(cover))
 
 
 # ---------------------------------------------------------------------------
@@ -713,8 +707,8 @@ def effective_hamiltonian(
         raise ContractError("state and Hamiltonian use different covers")
     if patch not in state.cover:
         raise ContractError(f"{patch} is not a patch of the cover")
-    plan = hml.step_plan(state.cover)
-    h = _neighborhood(plan, state.n_sites, state.cover.index(patch), state.time, state._connection)
+    plan, i, n = hml.step_plan(state.cover), state.cover.index(patch), state.n_sites
+    h = _neighborhood(plan, n, i, state.time, lambda a, b: _lift(state._connection(a, b), 0, n - 1))
     d = state.dressing_of(patch)
     return _dressed(h, d, d)
 

@@ -235,6 +235,8 @@ def embed_operator(op, where: Patch | Iterable[int], n: int) -> np.ndarray:
 
 Window = tuple[int, int, np.ndarray]  # (lo, hi, core): 1 (x) core (x) 1, core on sites lo..hi
 
+_IDENTITY: Window = (0, -1, np.ones((1, 1), dtype=np.complex128))  # the empty window
+
 
 def _window(m: np.ndarray) -> Window:
     """m as a window-local operator, exactly 1 (x) core (x) 1.
@@ -313,6 +315,13 @@ def _mul(a: Window, b: Window, n: int) -> Window:
     """
     lo, hi = _hull(a, b)
     return lo, hi, _lift(a, lo, hi) @ _lift(b, lo, hi)
+
+
+def _distance(a: Window, b: Window, n: int) -> float:
+    """||A - B||_F of the n-site lifts: sqrt(D / c) times its value on the c x c hull."""
+    lo, hi = _hull(a, b)
+    diff = _lift(a, lo, hi) - _lift(b, lo, hi)
+    return (2**n / diff.shape[0]) ** 0.5 * float(np.linalg.norm(diff))
 
 
 def _stripped(w: Window) -> Window:

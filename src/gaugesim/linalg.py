@@ -24,11 +24,15 @@ def as_operator(m) -> np.ndarray:
     return m
 
 
-def as_state(v) -> np.ndarray:
-    v = np.asarray(v, dtype=np.complex128)
-    if v.ndim != 1:
-        raise ContractError(f"expected a vector, got shape {v.shape}")
-    return v
+def require_normalized(psi0, dim: int) -> np.ndarray:
+    """The initial state psi0 as a complex vector of length dim and norm 1 (within 1e-10)."""
+    psi0 = np.asarray(psi0, dtype=np.complex128)
+    if psi0.shape != (dim,):
+        raise ContractError(f"initial state has shape {psi0.shape}, expected ({dim},)")
+    norm = np.linalg.norm(psi0)
+    if abs(norm - 1.0) > 1e-10:
+        raise ContractError(f"initial state is not normalized (norm {norm!r})")
+    return psi0
 
 
 def frobenius_distance(a, b) -> float:

@@ -20,7 +20,7 @@ from .errors import ContractError
 from .hamiltonian import LocalHamiltonian
 from .integrate import rk4_step, time_grid
 from .lattice import Patch, PatchCover, embed_operator
-from .linalg import as_state, expm_hermitian
+from .linalg import expm_hermitian, require_normalized
 
 DEFAULT_REFERENCE_DT = 1e-4
 
@@ -93,14 +93,6 @@ class InteractionReference:
     psi_interaction: np.ndarray
 
 
-def _require_normalized(psi0) -> np.ndarray:
-    psi0 = as_state(psi0)
-    norm = np.linalg.norm(psi0)
-    if abs(norm - 1.0) > 1e-10:
-        raise ContractError(f"initial state is not normalized (norm {norm!r})")
-    return psi0
-
-
 def _phases(evals: np.ndarray, t: float) -> np.ndarray:
     if not np.isfinite(t):
         raise ContractError(f"time must be finite, got {t}")
@@ -143,7 +135,7 @@ def schrodinger_evolve(
     A time-independent H is applied as V (e^{-iEt} (V^dag psi0)), two
     matrix-vector products with the Hamiltonian's cached spectrum.
     """
-    psi0 = _require_normalized(psi0)
+    psi0 = require_normalized(psi0, hml.cover.dim)
     if not hml.is_time_dependent:
         evals, vecs = hml.spectrum()
         return vecs @ (_phases(evals, t) * (psi0.conj() @ vecs).conj())
@@ -162,7 +154,7 @@ def reference_gauge_state(
         cover = hml.cover
     if cover != hml.cover:
         raise ContractError("cover does not match the Hamiltonian's cover")
-    psi0 = _require_normalized(psi0)
+    psi0 = require_normalized(psi0, cover.dim)
     patches = list(cover.patches)
     if not hml.is_time_dependent:
         h_full = hml.total(0.0)
@@ -199,7 +191,7 @@ def heisenberg_expectation(
     dt: float | None = None,
 ) -> complex:
     """<psi0| U^dag (A_1 A_2 ...) U |psi0> with the global propagator U."""
-    psi0 = _require_normalized(psi0)
+    psi0 = require_normalized(psi0, hml.cover.dim)
     n = hml.n_sites
     dim = hml.cover.dim
     psi_t = global_propagator(hml, t, dt) @ psi0
@@ -226,7 +218,7 @@ def interaction_reference(
     """
     if patch not in hml.cover:
         raise ContractError(f"{patch} is not a patch of the cover")
-    psi0 = _require_normalized(psi0)
+    psi0 = require_normalized(psi0, hml.cover.dim)
     h1 = hml.neighborhood(patch, 0.0)
     h0 = hml.total(0.0) - h1
     if not hml.is_time_dependent:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -422,6 +425,7 @@ class TestRepoConfigs:
             "evolve_heisenberg.json",
             "measure_site3.json",
             "circuit_audit_n10.json",
+            "circuit_audit_n14.json",
         ],
     )
     def test_shipped_configs_run_clean(self, tmp_path, name):
@@ -433,6 +437,34 @@ class TestRepoConfigs:
         assert records[-1]["type"] == "summary" and records[-1]["status"] == "pass"
         for record in records:
             jsonschema.validate(record, SCHEMA)
+
+    def test_circuit_audit_n14_runs_in_seconds_and_megabytes(self, tmp_path):
+        # one D x D matrix at n = 14 is 4 GiB; the run takes about 0.25 s and 55 MB
+        probe = (
+            "import json, resource, sys, time\n"
+            "from gaugesim.cli import main\n"
+            "start = time.perf_counter()\n"
+            "code = main(sys.argv[1:])\n"
+            "wall = time.perf_counter() - start\n"
+            "rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024\n"
+            "print(json.dumps({'code': code, 'wall_s': wall, 'rss_mb': rss_mb}))\n"
+        )
+        out = tmp_path / "out.jsonl"
+        args = ["circuit", "--config", str(CONFIGS / "circuit_audit_n14.json"), "--out", str(out)]
+        paths = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+        done = subprocess.run(
+            [sys.executable, "-c", probe, *args],
+            capture_output=True, text=True, env=env, timeout=120, check=True,
+        )
+        result = json.loads(done.stdout)
+        records = read_records(out)
+        audits = [r for r in records if r["type"] == "audit"]
+        assert result["code"] == EXIT_OK
+        assert len(audits) == 2 and all(r["ok"] for r in audits)
+        assert records[-1]["max_gap"] <= 1e-8
+        assert result["wall_s"] < 2.0
+        assert result["rss_mb"] < 150
 
     def test_golden_example_structure_matches_regeneration(self, tmp_path):
         golden = read_records(REPO / "docs" / "examples" / "validate_tfim_n4.jsonl")

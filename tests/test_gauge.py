@@ -1,5 +1,6 @@
 import functools
 import inspect
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -48,6 +49,7 @@ from gaugesim.hamiltonian import (
 from gaugesim.lattice import (
     Patch,
     PatchCover,
+    apply_local,
     embed_operator,
     nn_pair_cover,
     single_site_cover,
@@ -1199,6 +1201,95 @@ class TestWindowedChecks:
         state = evolve(init_gauge_state(random_state(2**n, rng), h.cover), h, 0.002, CFG)
         products, grams, spanning = self._dense_checks(state, 2, monkeypatch)
         assert products > 0 and grams == len(h.cover) and spanning > 0
+
+
+class TestWindowedReaders:
+    """Every reader takes a connection as its window; only `connection()` lifts it to D x D."""
+
+    @staticmethod
+    def _brickwork_state(scale=1.0):
+        # n = 8, depth 4: some connection hulls are short of the chain and some span it
+        n = 8
+        rng = np.random.default_rng(241)
+        state = run_circuit(
+            init_gauge_state(random_state(2**n, rng), nn_pair_cover(n)), brickwork(n, 4, 251)
+        )
+        count = len(state.cover)
+        spans = {state._connection(i, j)[:2] for i in range(count) for j in range(count) if i != j}
+        assert (0, n - 1) in spans and len(spans) > 1
+        return state if scale == 1.0 else _with_frames(state, scale * state.frame_stack)
+
+    @pytest.mark.parametrize("scale", [1.0, 1.01])
+    def test_cocycle_matches_the_dense_sweep(self, scale):
+        # scaled frames break U_IJ U_JK = U_IK, so the sweep is compared at a nonzero value
+        state = self._brickwork_state(scale)
+        patches = state.cover.patches
+        triples = itertools.islice(
+            itertools.combinations(patches, 3), gauge_module.COCYCLE_TRIPLES
+        )
+        c = state.connection
+        want = max(np.linalg.norm(c(a, b) @ c(b, d) - c(a, d)) for a, b, d in triples)
+        assert abs(state.diagnostics().cocycle - want) <= 1e-13 * max(1.0, want)
+        assert (want > 1e-3) == (scale != 1.0)
+
+    @pytest.mark.parametrize(
+        "sites",
+        [
+            [(0, 1), (4, 5)],
+            [(6, 7), (1, 2)],
+            [(0, 1), (3, 4), (6, 7)],
+            [(5, 6), (5, 6), (2, 3)],
+        ],
+    )
+    def test_correlator_matches_the_dense_chain(self, sites):
+        state = self._brickwork_state()
+        rng = np.random.default_rng(len(sites) + sites[0][0])
+        chain = [(Patch(s), random_hermitian(4, rng)) for s in sites]
+        n, (first, _), (last, op) = state.n_sites, chain[0], chain[-1]
+        vec = apply_local(op, last, n, state.psi[last])
+        for (patch, op), (nxt, _) in zip(reversed(chain[:-1]), reversed(chain[1:])):
+            vec = apply_local(op, patch, n, state.connection(patch, nxt) @ vec)
+        assert abs(state.correlator(chain) - np.vdot(state.psi[first], vec)) <= 1e-12
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_connection_of_a_patch_to_itself_is_exactly_the_identity(self, mode):
+        h = tfim_chain(4, 1.0, 1.0)
+        state = init_gauge_state(plus_state(4), h.cover, mode=mode, hamiltonian=h)
+        state = evolve(state, h, 0.05, IntegratorConfig(dt=0.01, reunitarize_every=0))
+        for p in h.cover.patches:
+            assert np.array_equal(state.connection(p, p), np.eye(16))
+
+    def test_circuit_body_at_n14_stays_far_below_one_matrix(self):
+        # one D x D matrix at n = 14 is 4 GiB; the body peaks near 12 MB
+        n, depth = 14, 3
+        rng = np.random.default_rng(257)
+        psi0 = random_state(2**n, rng)
+        cover = nn_pair_cover(n)
+        circ = brickwork(n, depth, 263)
+        zz = np.kron(PAULI_Z, PAULI_Z)
+        a, b = Patch((4, 5)), Patch((6, 7))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            state = init_gauge_state(psi0, cover)
+            for k in range(depth):
+                state = apply_commuting_layer(state, circ.layer_gates(k))
+            audits = [audit_lightcone(state, p, depth) for p in (a, b)]
+            psi = circuit_reference(circ, cover, psi0).psi_schrodinger
+            values = {
+                p: (state.local_expectation(p, zz), np.vdot(psi, apply_local(zz, p, n, psi)))
+                for p in (a, b)
+            }
+            correlator = state.correlator([(a, zz), (b, zz)])
+            state.diagnostics(include_cocycle=False)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        assert all(audit.ok for audit in audits)
+        assert all(abs(got - want) < 1e-8 for got, want in values.values())
+        want = np.vdot(psi, apply_local(zz, a, n, apply_local(zz, b, n, psi)))
+        assert abs(correlator - want) < 1e-8
 
 
 class TestWindowStorage:

@@ -3,6 +3,7 @@ import pytest
 
 from gaugesim.circuits import brickwork, circuit_reference
 from gaugesim.errors import ContractError
+from gaugesim.gauge import init_gauge_state
 from gaugesim.hamiltonian import (
     LocalHamiltonian,
     LocalTerm,
@@ -40,6 +41,25 @@ def driven_tfim(n, drive):
         field = x_lo + (x_hi if i == n - 2 else 0.0 * x_hi)
         terms.append(LocalTerm(Patch((i, i + 1)), -field, time_dependence=drive))
     return LocalHamiltonian(cover, terms)
+
+
+INITIAL_STATE_ENTRY_POINTS = {
+    "reference_gauge_state": lambda h, psi: reference_gauge_state(h, h.cover, psi, 0.3),
+    "schrodinger_evolve": lambda h, psi: schrodinger_evolve(h, psi, 0.3),
+    "heisenberg_expectation": lambda h, psi: heisenberg_expectation(
+        h, psi, [(Patch((0, 1)), np.kron(PAULI_Z, PAULI_Z))], 0.3
+    ),
+    "interaction_reference": lambda h, psi: interaction_reference(h, Patch((1, 2)), psi, 0.3),
+    "circuit_reference": lambda h, psi: circuit_reference(brickwork(4, 2), h.cover, psi),
+    "init_gauge_state": lambda h, psi: init_gauge_state(psi, h.cover),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(INITIAL_STATE_ENTRY_POINTS))
+def test_a_normalized_psi0_of_the_wrong_length_is_a_contract_error(entry):
+    """Every oracle and the engine share one initial-state check."""
+    with pytest.raises(ContractError, match=r"expected \(16,\)"):
+        INITIAL_STATE_ENTRY_POINTS[entry](tfim_chain(4), plus_state(3))
 
 
 class TestSchrodingerEvolve:
