@@ -243,7 +243,7 @@ def audit_lightcone(
     i = state.cover.index(patch)
     d = state.dressing_of(patch)
     pred = LightConePrediction.chain(patch, depth, n)
-    defects = _window_defects(_dressed_window(state.windows[i], n, d), n)
+    defects = _window_defects(_dressed_window(state.windows[i], d), n)
     support = {s for s, x in defects.items() if x > tol}
     violations = sorted(support - pred.allowed_sites)
     conn_supports = {}
@@ -255,7 +255,7 @@ def audit_lightcone(
                 other, depth, n
             ).allowed_sites
             conn = state._connection(i, state.cover.index(other))
-            conn = _dressed_window(conn, n, d, state.dressing_of(other))
+            conn = _dressed_window(conn, d, state.dressing_of(other))
             c_support = {s for s, x in _window_defects(conn, n).items() if x > tol}
             conn_supports[other] = tuple(sorted(c_support))
             violations.extend(sorted(c_support - pair_allowed))

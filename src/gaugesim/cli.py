@@ -1,12 +1,11 @@
 """Batch experiment runner.
 
 Reads one JSON config describing a model, cover, scenario and output sink,
-executes it, and emits JSON-lines records (CSV for observables on request,
-CSV always for bench timings). Given identical (config, seed) the emitted
-JSON bytes are identical run to run; wall-clock timings therefore appear
-only in bench output and logs, never in records.
+executes it, and emits JSON-lines records (CSV on request). Given identical
+(config, seed) the emitted bytes are identical run to run, so no wall-clock
+time appears in a record.
 
-Exit codes: 0 all checks passed, 1 config error, 2 tolerance/assertion
+Exit codes: 0 all checks passed, 1 config or usage error, 2 tolerance/assertion
 failure, 3 numerical divergence.
 """
 
@@ -19,10 +18,7 @@ import functools
 import hashlib
 import io
 import json
-import logging
-import os
 import sys
-import time
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -37,22 +33,17 @@ from .gauge import (
     IntegratorConfig,
     evolve,
     init_gauge_state,
-    step,
 )
 from .hamiltonian import LocalHamiltonian, build_model, pauli_on
 from .lattice import Patch, PatchCover, apply_local, cover_from_config
 from .measure import PAULI_BASES, KrausSet, apply_measurement, site_projectors
 from .circuits import audit_lightcone, brickwork, circuit_reference, run_circuit
-from .reference import reference_gauge_state, schrodinger_evolve
-
-log = logging.getLogger("gaugesim")
+from .reference import schrodinger_evolve
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_TOLERANCE = 2
 EXIT_DIVERGED = 3
-
-SCENARIOS = ("evolve", "validate", "circuit", "measure", "bench")
 
 
 def canonical_json(obj: Any) -> str:
@@ -103,8 +94,6 @@ class Experiment:
     measure_time: float = 0.0
     measure_tolerance: float = 1e-8
     projectors: KrausSet | None = None
-    bench_sizes: list[int] = field(default_factory=list)
-    bench_steps: int = 20
 
 
 def _fail(path: str, message: str) -> ConfigError:
@@ -237,8 +226,8 @@ def parse_config(raw: dict, overrides: dict | None = None) -> Experiment:
                 cfg[key] = value
 
     scenario = cfg.get("scenario")
-    if scenario not in SCENARIOS:
-        raise _fail("scenario", f"must be one of {list(SCENARIOS)}, got {scenario!r}")
+    if scenario not in RUNNERS:
+        raise _fail("scenario", f"must be one of {list(RUNNERS)}, got {scenario!r}")
 
     model = cfg.get("model")
     if not isinstance(model, dict) or "name" not in model:
@@ -348,13 +337,6 @@ def parse_config(raw: dict, overrides: dict | None = None) -> Experiment:
             spec.get("time", times[-1] if times else 0.0), "measure.time"
         )
         exp.measure_tolerance = _number(spec.get("tolerance", 1e-8), "measure.tolerance")
-    if scenario == "bench":
-        spec = _section(cfg, "bench")
-        sizes = spec.get("sizes")
-        if not isinstance(sizes, list) or not sizes:
-            raise _fail("bench.sizes", f"must be a nonempty list of sizes, got {sizes!r}")
-        exp.bench_sizes = [_integer(n, "bench.sizes") for n in sizes]
-        exp.bench_steps = _integer(spec.get("steps", 20), "bench.steps")
     return exp
 
 
@@ -522,30 +504,6 @@ def _run_measure(exp: Experiment, writer: RecordWriter) -> int:
     return writer.summary(max(gaps) <= tol, max_gap=max(gaps), tolerance=tol)
 
 
-def _run_bench(exp: Experiment, stream: io.TextIOBase) -> int:
-    """The CSV timing table; bench writes no records, so no header or summary."""
-    steps = exp.bench_steps
-    model = exp.raw["model"]
-    rows = [("n", "mode", "steps", "seconds_per_step", "oracle_seconds")]
-    for n in exp.bench_sizes:
-        hml = build_model(model["name"], n, model.get("params"))
-        psi0 = _initial_state(exp.raw.get("initial_state"), n)
-        t_end = steps * exp.integrator.dt
-        t0 = time.perf_counter()
-        reference_gauge_state(hml, hml.cover, psi0, t_end)
-        oracle_seconds = time.perf_counter() - t0
-        for mode in MODES:
-            state = init_gauge_state(psi0, hml.cover, mode=mode, hamiltonian=hml)
-            step(state, hml, exp.integrator)  # untimed warm-up: builds the step plan
-            t0 = time.perf_counter()
-            state = evolve(state, hml, t_end, exp.integrator)
-            per_step = (time.perf_counter() - t0) / max(state.steps, 1)
-            rows.append((n, mode, state.steps, f"{per_step:.6e}", f"{oracle_seconds:.6e}"))
-            log.info("bench n=%d mode=%s: %s s/step", n, mode, f"{per_step:.3e}")
-    stream.write("\n".join(",".join(str(c) for c in row) for row in rows) + "\n")
-    return EXIT_OK
-
-
 RUNNERS = {
     "evolve": functools.partial(_run_evolve, with_oracle=False),
     "validate": functools.partial(_run_evolve, with_oracle=True),
@@ -559,13 +517,21 @@ RUNNERS = {
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with its usage errors exiting as config errors (--help still exits 0)."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gaugesim",
         description="Run local-wavefunction dynamics experiments from a JSON config.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in SCENARIOS:
+    for name in RUNNERS:
         p = sub.add_parser(name, help=f"run a {name} scenario config")
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
@@ -603,13 +569,7 @@ def _open_output(path: str | None):
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(
-        level=os.environ.get("GAUGESIM_LOG", "WARNING").upper(),
-        stream=sys.stderr,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         raw = _load_raw_config(args.config)
         raw["scenario"] = raw.get("scenario", args.command)
@@ -630,8 +590,6 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         with sink as stream:
-            if exp.scenario == "bench":  # a CSV timing table, not a record stream
-                return _run_bench(exp, stream)
             writer = RecordWriter(exp, stream)
             writer.emit(_header_record(exp))
             return RUNNERS[exp.scenario](exp, writer)

@@ -275,7 +275,7 @@ class GaugeState:
                     c_ik = self._connection(i, k)
                 except ContractError:
                     continue  # disconnected pair graph: no loop to test
-                cocycle = max(cocycle, _distance(_mul(c_ij, c_jk, n), c_ik, n))
+                cocycle = max(cocycle, _distance(_mul(c_ij, c_jk), c_ik, n))
         return DefectReport(
             consistency=consistency,
             cocycle=cocycle,
@@ -337,7 +337,7 @@ class GeneratorState(GaugeState):
         """U_I U_J^dag, multiplied through the frames' window cores on their hull."""
         if i == j:
             return _IDENTITY
-        return _mul(self.windows[i], _dagger(self.windows[j]), self.n_sites)
+        return _mul(self.windows[i], _dagger(self.windows[j]))
 
     def _transported(self, psi: list[np.ndarray]) -> Iterator[tuple[int, np.ndarray]]:
         """(i, U_I U_J^dag psi_J) for every pair i < j, with U_J^dag psi_J formed once per J;
@@ -416,8 +416,8 @@ class GeneratorState(GaugeState):
             mats = [sandwich(gp) for gp in near[i]]
             w = mats[0]
             for s in mats[1:]:
-                w = _mul(w, s, n)
-            windows[i] = _stripped(_mul(own.pop(p) if p in gates else old[i], w, n))
+                w = _mul(w, s)
+            windows[i] = _stripped(_mul(own.pop(p) if p in gates else old[i], w))
             for gp in near[i]:
                 users[gp] -= 1
                 if not users[gp]:
@@ -621,12 +621,12 @@ def _dressed(m: np.ndarray, left: np.ndarray | None, right: np.ndarray | None = 
     return m
 
 
-def _dressed_window(w: Window, n: int, left: np.ndarray | None, right: np.ndarray | None = None) -> Window:
+def _dressed_window(w: Window, left: np.ndarray | None, right: np.ndarray | None = None) -> Window:
     """`_dressed` for a plain-gauge window w, multiplied through window cores."""
     if left is not None:
-        w = _mul(_window(left), w, n)
+        w = _mul(_window(left), w)
     if right is not None:
-        w = _mul(w, _dagger(_window(right)), n)
+        w = _mul(w, _dagger(_window(right)))
     return w
 
 

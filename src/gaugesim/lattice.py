@@ -307,12 +307,8 @@ def _lift(w: Window, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndar
     return out
 
 
-def _mul(a: Window, b: Window, n: int) -> Window:
-    """a @ b on the hull of their ranges.
-
-    A hull short of the n-site chain is multiplied at its own size; a hull
-    spanning it is the dense product of the lifts.
-    """
+def _mul(a: Window, b: Window) -> Window:
+    """a @ b on the hull of their ranges, multiplied at the hull's own size."""
     lo, hi = _hull(a, b)
     return lo, hi, _lift(a, lo, hi) @ _lift(b, lo, hi)
 

@@ -210,8 +210,8 @@ class TestScenarios:
             ("measure", {"measure": {"site": 1, "tolerance": "loose"}}, "measure.tolerance"),
             ("circuit", {"circuit": {"depth": 1, "tolerance": "loose"}}, "circuit.tolerance"),
             ("circuit", {"circuit": {"depth": 1, "support_tol": "tiny"}}, "circuit.support_tol"),
-            ("bench", {"bench": {"sizes": ["four"]}}, "bench.sizes"),
-            ("bench", {"bench": {"sizes": [4], "steps": "many"}}, "bench.steps"),
+            ("validate", {"n_sites": 0}, "n_sites"),
+            ("validate", {"output": {"format": "xml"}}, "output.format"),
             ("circuit", {"circuit": {"depth": 1}, "integrator": {"mode": "direct"}},
              "integrator.mode"),
             ("validate", {"seed": 2.9}, "seed"),
@@ -228,7 +228,7 @@ class TestScenarios:
             ("validate", {"cover": "nn"}, "cover"),
             ("circuit", {"circuit": "deep"}, "circuit"),
             ("measure", {"measure": 3}, "measure"),
-            ("bench", {"bench": "fast"}, "bench"),
+            ("evolve", {"times": []}, "times"),
             ("validate", {"observables": [{"pauli": "Z", "sites": 3}]},
              "observables[0].sites"),
             ("validate", {"observables": 3}, "observables"),
@@ -250,6 +250,23 @@ class TestScenarios:
         cfg = write_config(tmp_path, base_config(scenario=scenario, **section))
         assert main([scenario, "--config", str(cfg)]) == EXIT_CONFIG
         assert f"config error: config field '{field}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["bench", "--config", str(CONFIGS / "validate_tfim_n4.json")], EXIT_CONFIG),
+            (["validate"], EXIT_CONFIG),
+            (["validate", "--config", str(CONFIGS / "validate_tfim_n4.json"), "--dt", "abc"],
+             EXIT_CONFIG),
+            (["--help"], EXIT_OK),
+        ],
+    )
+    def test_usage_errors_exit_as_config_errors(self, capsys, argv, code):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code
+        err = capsys.readouterr().err
+        assert err.startswith("usage: gaugesim") == (code == EXIT_CONFIG)
 
     def test_entry_point_failures_are_config_errors(self, tmp_path, monkeypatch, capsys):
         import gaugesim.cli as cli_module
@@ -308,74 +325,22 @@ class TestScenarios:
         assert main(["measure", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         assert len(calls) == 1
 
-    def test_bench_times_warm_steps(self, tmp_path, monkeypatch):
-        import gaugesim.cli as cli_module
-        from gaugesim.hamiltonian import StepPlan
-
-        builds, timed = [], []
-        build, evolve = StepPlan.build, cli_module.evolve
-
-        def counting_build(cls, *args):
-            builds.append(1)
-            return build(*args)
-
-        def recording_evolve(state, *args, **kwargs):
-            before = len(builds)
-            out = evolve(state, *args, **kwargs)
-            timed.append((before, len(builds), state.steps, out.steps))
-            return out
-
-        monkeypatch.setattr(StepPlan, "build", classmethod(counting_build))
-        monkeypatch.setattr(cli_module, "evolve", recording_evolve)
+    def test_inconsistent_state_error_ends_the_stream_without_summary(self, tmp_path, capsys):
+        # direct mode at dt = 0.1 with no re-unitarization drifts past the measurement's
+        # consistency check: the run stops at the records written so far
         cfg = write_config(
             tmp_path,
-            base_config(scenario="bench", bench={"sizes": [4], "steps": 3}),
+            base_config(
+                scenario="measure",
+                n_sites=4,
+                integrator={"dt": 0.1, "mode": "direct", "reunitarize_every": 0},
+                measure={"site": 1, "time": 1.0},
+            ),
         )
-        assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "b.csv")]) == EXIT_OK
-        # one timed run per mode: the configured steps from a fresh state, with
-        # the step plan built before the clock starts and not rebuilt inside it
-        assert [(first, last) for _, _, first, last in timed] == [(0, 3), (0, 3)]
-        assert all(0 < before == after for before, after, _, _ in timed)
-
-    def test_bench_scenario(self, tmp_path):
-        cfg = write_config(
-            tmp_path,
-            {
-                "scenario": "bench",
-                "model": {"name": "tfim", "params": {}},
-                "n_sites": 4,
-                "initial_state": "plus",
-                "integrator": {"dt": 0.01},
-                "bench": {"sizes": [4, 6], "steps": 5},
-                "seed": 0,
-            },
-        )
-        out = tmp_path / "bench.csv"
-        assert main(["bench", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
-        lines = out.read_text().splitlines()
-        assert lines[0] == "n,mode,steps,seconds_per_step,oracle_seconds"
-        assert len(lines) == 5  # two sizes x two modes
-        # same config runs the same number of steps every time
-        assert all(line.split(",")[2] == "5" for line in lines[1:])
-        # exponential cost in n is visible per step
-        per_step = {
-            (int(l.split(",")[0]), l.split(",")[1]): float(l.split(",")[3])
-            for l in lines[1:]
-        }
-        assert per_step[(6, "generator")] > per_step[(4, "generator")]
-        assert per_step[(6, "direct")] > per_step[(4, "direct")]
-
-    def test_bench_without_out_writes_table_to_stdout(self, tmp_path, capsys):
-        cfg = write_config(
-            tmp_path, base_config(scenario="bench", bench={"sizes": [3], "steps": 2})
-        )
-        assert main(["bench", "--config", str(cfg)]) == EXIT_OK
-        lines = capsys.readouterr().out.splitlines()
-        assert lines[0] == "n,mode,steps,seconds_per_step,oracle_seconds"
-        assert [line.split(",")[:3] for line in lines[1:]] == [
-            ["3", "generator", "2"],
-            ["3", "direct", "2"],
-        ]
+        out = tmp_path / "out.jsonl"
+        assert main(["measure", "--config", str(cfg), "--out", str(out)]) == EXIT_TOLERANCE
+        assert [r["type"] for r in read_records(out)] == ["header"]
+        assert capsys.readouterr().err.startswith("error: state is inconsistent (defect ")
 
     def test_divergence_exit_code(self, tmp_path):
         cfg = write_config(

@@ -805,8 +805,8 @@ def _dense_work_spy(monkeypatch, n):
             dense.append("lift")
         return lift(w, lo, hi, out)
 
-    def counting_mul(a, b, n_sites):
-        lo, hi, core = mul(a, b, n_sites)
+    def counting_mul(a, b):
+        lo, hi, core = mul(a, b)
         if hi - lo + 1 == n:
             dense.append("product")
         return lo, hi, core
@@ -1139,6 +1139,33 @@ class TestWindowedChecks:
                 defects = dense_site_identity_defects(dense)
                 assert support == tuple(s for s, d in defects.items() if d > 1e-12)
 
+    def test_audits_of_dressed_frames_match_dense_readouts(self):
+        # dressings on (3, 4) and (4, 5) are multiplied into the audited frame (left) and
+        # into its connection to (4, 5) (right) through window cores
+        n = 8
+        psi0 = np.zeros(2**n, dtype=complex)
+        psi0[0] = 1.0
+        state = run_circuit(init_gauge_state(psi0, nn_pair_cover(n)), brickwork(n, 2, 5))
+        rng = np.random.default_rng(191)
+        factors = {Patch(sites): random_unitary(4, rng) for sites in ((3, 4), (4, 5))}
+        state = gauge_transform(state, GaugeTransform(factors))
+        p = Patch((3, 4))
+        audit = audit_lightcone(state, p, 2)
+        assert audit.frame_support == (2, 3, 4, 5)
+        want = site_identity_defects(state.frames[p])
+        assert audit.site_defects.keys() == want.keys()
+        assert all(abs(audit.site_defects[s] - want[s]) <= 1e-13 for s in want)
+        assert Patch((4, 5)) in audit.connection_supports
+        for q, support in audit.connection_supports.items():
+            defects = site_identity_defects(state.connection(p, q))
+            assert support == tuple(s for s, d in sorted(defects.items()) if d > 1e-12)
+        # the same site-4 dressing on both patches cancels in D_a U_ab D_b^dag at t = 0
+        v = random_unitary(2, rng)
+        eye = np.eye(2)
+        same = {Patch((3, 4)): np.kron(v, eye), Patch((4, 5)): np.kron(eye, v)}
+        fresh = gauge_transform(init_gauge_state(psi0, nn_pair_cover(n)), GaugeTransform(same))
+        assert audit_lightcone(fresh, p, 0).connection_supports[Patch((4, 5))] == ()
+
     def test_connections_of_dense_frames_keep_their_bits(self):
         n = 5
         h = tfim_chain(n, 1.0, 1.0)
@@ -1172,8 +1199,8 @@ class TestWindowedChecks:
             grams.append(np.shape(m) == (dim, dim))
             return defect(m)
 
-        def counting_mul(a, b, n_sites):
-            lo, hi, core = mul(a, b, n_sites)
+        def counting_mul(a, b):
+            lo, hi, core = mul(a, b)
             spanning.append(hi - lo + 1 == n)
             return lo, hi, core
 
@@ -1435,6 +1462,15 @@ class TestDiagnostics:
         assert 0.0 < d.consistency < 1e-6
         assert d.unitarity < 1e-6
 
+
+    def test_direct_mode_on_an_unlinked_pair_graph(self):
+        # single-site patches store no pairs: every cocycle triple is skipped, not an error
+        state = init_gauge_state(plus_state(3), single_site_cover(3), mode=DIRECT)
+        assert state.diagnostics().as_dict() == dict.fromkeys(
+            ("consistency", "cocycle", "unitarity", "norm"), 0.0
+        )
+        with pytest.raises(ContractError, match=r"Patch\(0,\) and Patch\(2,\)"):
+            state.connection(Patch((0,)), Patch((2,)))
 
 class TestClock:
     def test_time_is_exact_after_whole_steps(self):

@@ -234,6 +234,6 @@ class TestWindowedDefects:
         eye = np.eye(16, dtype=complex)
         a, b = _window(eye), _window(eye)
         assert a[:2] == b[:2] == _hull(a, b) == (0, -1)
-        product = _mul(a, b, 4)
+        product = _mul(a, b)
         assert product[:2] == (0, -1) and product[2].shape == (1, 1)
         assert np.array_equal(_lift(product, 0, 3), eye)
