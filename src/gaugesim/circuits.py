@@ -231,8 +231,9 @@ def audit_lightcone(
     Supports come from the per-site identity defects of each matrix's window
     core (`site_identity_defects` on its D x D form gives the same). The
     frame's window is the stored one, and each connection's is the product of
-    the two frames' cores on the hull of their windows, so no D x D matrix is
-    formed while every window falls short of the chain. A dressed patch's
+    the two frames' cores, contracted over their shared sites onto the hull of
+    their windows (`lattice._mul`), so no D x D matrix is formed while every
+    hull falls short of the chain. A dressed patch's
     dressing D is multiplied in through its own window.
     """
     if not isinstance(state, GeneratorState):

@@ -459,8 +459,8 @@ def _run_circuit(exp: Experiment, writer: RecordWriter) -> int:
     for record in _observable_records(exp, state, float(depth), ref.psi_schrodinger):
         max_gap = max(max_gap, record["gap"])
         writer.emit(record)
-    # the cocycle sweep is dense where a triple's hulls span the chain: at n = 10, depth 3, 31 of
-    # 40 do; it took 15.5-18.5 s (17.5-20 s dense), the rest of diagnostics() 10-20 ms (1 thread)
+    # the cocycle sweep is D x D where a triple's hulls span the chain: at n = 10, depth 3, 31 of
+    # 40 do; it took 1.9 s, the rest of diagnostics() 10-20 ms (1 thread, 2-core Xeon)
     writer.emit(
         _defect_record(state, time=float(depth), include_cocycle=exp.n_sites <= 8)
     )

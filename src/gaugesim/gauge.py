@@ -251,8 +251,9 @@ class GaugeState:
         ||M^dag M - 1||_F = sqrt(D / c) ||C^dag C - 1||_F, so a window-local
         matrix costs a c x c Gram instead of a D x D one. A dense matrix is its
         own core (scale 1.0), and its defect keeps the dense formula's bits.
-        The cocycle sweep multiplies connection windows on their hulls, where
-        a hull spanning the chain is the dense sweep with its bits.
+        The cocycle sweep multiplies connection windows over their shared
+        sites onto their hulls (`lattice._mul`), where two cores spanning the
+        chain are the dense sweep's product.
         """
         patches = self.cover.patches
         consistency = self.consistency()
@@ -369,14 +370,14 @@ class GeneratorState(GaugeState):
     def _layered(self, gates: dict[Patch, np.ndarray]) -> "GeneratorState":
         """U_I -> U_I prod_(gates g near I) S_g, with S_g = U_g^dag G U_g.
 
-        Every factor is a window, and every product is formed on the hull of
-        its factors' ranges (`lattice._mul`), in the eager formula's order:
-        S_g on the hull of U_g's window and g's sites, the near sandwiches
-        left to right into W, then U W (a gate's own patch takes G U W). A
-        patch's new window is `_window` run on its product's hull-sized core;
-        a patch away from every gate keeps its window.
+        Every factor is a window, and every product is contracted over its
+        factors' shared sites onto their hull (`lattice._mul`), in the eager
+        formula's order: S_g on the hull of U_g's window and g's sites, the
+        near sandwiches left to right into W, then U W (a gate's own patch
+        takes G U W). A patch's new window is `_window` run on its product's
+        hull-sized core; a patch away from every gate keeps its window.
 
-        A hull spanning the chain is the dense product of D x D lifts. The
+        A product of two cores spanning the chain is the dense D x D one. The
         S_g of such a G U is formed when the first patch needs it and freed
         after the last, so on a chain at most two sandwiches and one product
         of two are alive next to the frames made so far.
@@ -853,16 +854,16 @@ def apply_commuting_layer(
     transported into its frame; connections between updated patches are
     conjugated accordingly. Patches away from every gate are untouched.
 
-    In generator mode every product is formed on the smallest range of sites
-    that holds its factors: each frame is read and stored as its window, the
-    core of a frame that is exactly the identity outside a range of sites,
-    so the frames of a brickwork circuit from `init_gauge_state` cost
-    products of the size of their light cones, not D x D ones, until a cone
-    spans the chain. Such a layer holds its input and output windows plus
-    window-sized temporaries, and no D x D matrix. A product spanning the
+    In generator mode each frame is read and stored as its window, the core
+    of a frame that is exactly the identity outside a range of sites, and two
+    windows are multiplied over their shared sites (`lattice._mul`), so the
+    frames of a brickwork circuit from `init_gauge_state` cost products of
+    the size of their light cones, not D x D ones, until a cone spans the
+    chain. Such a layer holds its input and output windows plus window-sized
+    temporaries, and no D x D matrix. A product of two cores spanning the
     chain is the dense one, and a layer of those holds, next to the frames,
     at most s + 1 D x D temporaries (s + 2 where a window short of the chain
-    is lifted into such a product), s being the most gate sandwiches
+    enters a product spanning it), s being the most gate sandwiches
     V^dag G V alive at once: each is formed when the first patch needs it
     and freed after the last (s = 2 on a chain brickwork).
     """

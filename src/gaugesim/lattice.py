@@ -308,9 +308,37 @@ def _lift(w: Window, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndar
 
 
 def _mul(a: Window, b: Window) -> Window:
-    """a @ b on the hull of their ranges, multiplied at the hull's own size."""
-    lo, hi = _hull(a, b)
-    return lo, hi, _lift(a, lo, hi) @ _lift(b, lo, hi)
+    """a @ b on the hull of their ranges, contracted over their shared sites only.
+
+    Each core is viewed as a tensor over its own segments of the hull (top,
+    overlap, bottom; an end segment belongs to one factor or to neither), so
+    one GEMM over the overlap's 2^k and one transpose into site order give the
+    product at D_a D_b D_hull multiply-adds, with no core lifted past its own
+    range. Equal ranges are the plain `ca @ cb`, an empty factor scales the
+    other core by its value, touching ranges share k = 0 sites, and a gap
+    between the ranges is closed by lifting the lower core across it.
+    """
+    (la, ha, ca), (lb, hb, cb) = a, b
+    if la > ha or lb > hb:  # an empty window is its 1 x 1 core's value times the identity
+        (lo, hi, core), scale = (b, ca[0, 0]) if la > ha else (a, cb[0, 0])
+        return (lo, hi, core) if scale == 1 else (lo, hi, scale * core)
+    if (la, ha) == (lb, hb):
+        return la, ha, ca @ cb
+    olo, ohi = max(la, lb), min(ha, hb)
+    if olo > ohi + 1:
+        if la > hb:
+            return _mul(a, (lb, la - 1, _lift(b, lb, la - 1)))
+        return _mul((la, lb - 1, _lift(a, la, lb - 1)), b)
+    o = 2 ** (ohi - olo + 1)
+    ta, ua, tb, ub = 2 ** (ha - ohi), 2 ** (olo - la), 2 ** (hb - ohi), 2 ** (olo - lb)
+    # rows (t, o, u, t', u') of a times columns (t, u, t', o', u') of b, one t and one u being 1;
+    # a core copied to put the contracted o last (first) is freed before the transpose
+    prod = np.matmul(
+        ca.reshape(ta, o, ua, ta, o, ua).transpose(0, 1, 2, 3, 5, 4).reshape(-1, o),
+        cb.reshape(tb, o, ub, tb, o, ub).transpose(1, 0, 2, 3, 4, 5).reshape(o, -1),
+    ).reshape(ta, o, ua, ta, ua, tb, ub, tb, o, ub)
+    dim = ta * tb * o * ua * ub
+    return min(la, lb), max(ha, hb), prod.transpose(0, 5, 1, 2, 6, 3, 7, 8, 4, 9).reshape(dim, dim)
 
 
 def _distance(a: Window, b: Window, n: int) -> float:

@@ -92,6 +92,14 @@ class TestParseConfig:
         assert config_hash(a) != config_hash(base_config(seed=4))
 
 
+def _bad_field(tag, scenario, section, field):
+    """A config-error case with the id scenario-tag-field, whatever its place in the list.
+
+    The tag tells apart the cases of one scenario and field; a sectionN tag is a label.
+    """
+    return pytest.param(scenario, section, field, id=f"{scenario}-{tag}-{field}")
+
+
 class TestScenarios:
     def test_validate_passes_and_validates_schema(self, tmp_path):
         out = tmp_path / "out.jsonl"
@@ -191,51 +199,65 @@ class TestScenarios:
     @pytest.mark.parametrize(
         "scenario, section, field",
         [
-            ("measure", {"measure": {"site": "a"}}, "measure.site"),
-            ("measure", {"measure": {"site": 7}}, "measure.site"),  # in no patch
-            ("measure", {"measure": {"site": 0, "patch": [1, 2]}}, "measure.site"),
-            ("measure", {"measure": {"site": 1, "patch": [0, 2]}}, "measure.patch"),
-            ("measure", {"measure": {"site": 1, "basis": "Y"}}, "measure.basis"),
-            ("circuit", {"circuit": {"depth": "x"}}, "circuit.depth"),
-            ("circuit", {"circuit": {"depth": 1, "audit_patches": [[1, 2], [0, 2]]}},
-             "circuit.audit_patches[1]"),
-            ("validate", {"times": ["soon"]}, "times"),
-            ("validate", {"tolerance": "tight"}, "tolerance"),
-            ("validate", {"seed": "abc"}, "seed"),
-            ("validate", {"integrator": {"dt": "small"}}, "integrator.dt"),
-            ("validate", {"integrator": {"reunitarize_every": "often"}},
-             "integrator.reunitarize_every"),
-            ("validate", {"integrator": {"renormalize": "false"}}, "integrator.renormalize"),
-            ("measure", {"measure": {"site": 1, "time": "later"}}, "measure.time"),
-            ("measure", {"measure": {"site": 1, "tolerance": "loose"}}, "measure.tolerance"),
-            ("circuit", {"circuit": {"depth": 1, "tolerance": "loose"}}, "circuit.tolerance"),
-            ("circuit", {"circuit": {"depth": 1, "support_tol": "tiny"}}, "circuit.support_tol"),
-            ("validate", {"n_sites": 0}, "n_sites"),
-            ("validate", {"output": {"format": "xml"}}, "output.format"),
-            ("circuit", {"circuit": {"depth": 1}, "integrator": {"mode": "direct"}},
-             "integrator.mode"),
-            ("validate", {"seed": 2.9}, "seed"),
-            ("validate", {"seed": True}, "seed"),
-            ("validate", {"integrator": {"reunitarize_every": 2.9}},
-             "integrator.reunitarize_every"),
-            ("validate", {"tolerance": True}, "tolerance"),
-            ("validate", {"integrator": {"dt": True}}, "integrator.dt"),
-            ("circuit", {"circuit": {"depth": 1.5}}, "circuit.depth"),
-            ("validate", {"observables": [{"pauli": "Z", "sites": [1.5]}]},
-             "observables[0].sites"),
-            ("validate", {"integrator": "fast"}, "integrator"),
-            ("validate", {"output": "x.jsonl"}, "output"),
-            ("validate", {"cover": "nn"}, "cover"),
-            ("circuit", {"circuit": "deep"}, "circuit"),
-            ("measure", {"measure": 3}, "measure"),
-            ("evolve", {"times": []}, "times"),
-            ("validate", {"observables": [{"pauli": "Z", "sites": 3}]},
-             "observables[0].sites"),
-            ("validate", {"observables": 3}, "observables"),
-            ("validate", {"cover": {"scheme": "explicit"}}, "cover"),
-            ("validate", {"cover": {"scheme": "explicit", "patches": 3}}, "cover"),
-            ("validate", {"initial_state": {"bitstring": 101}}, "initial_state.bitstring"),
-            ("circuit", {"circuit": {"depth": 1, "audit_patches": 5}}, "circuit.audit_patches"),
+            _bad_field("section0", "measure", {"measure": {"site": "a"}}, "measure.site"),
+            _bad_field("section1", "measure", {"measure": {"site": 7}},
+                       "measure.site"),  # in no patch
+            _bad_field("section2", "measure", {"measure": {"site": 0, "patch": [1, 2]}},
+                       "measure.site"),
+            _bad_field("section3", "measure", {"measure": {"site": 1, "patch": [0, 2]}},
+                       "measure.patch"),
+            _bad_field("section4", "measure", {"measure": {"site": 1, "basis": "Y"}},
+                       "measure.basis"),
+            _bad_field("section5", "circuit", {"circuit": {"depth": "x"}}, "circuit.depth"),
+            _bad_field("section6", "circuit",
+                       {"circuit": {"depth": 1, "audit_patches": [[1, 2], [0, 2]]}},
+                       "circuit.audit_patches[1]"),
+            _bad_field("section7", "validate", {"times": ["soon"]}, "times"),
+            _bad_field("section8", "validate", {"tolerance": "tight"}, "tolerance"),
+            _bad_field("section9", "validate", {"seed": "abc"}, "seed"),
+            _bad_field("section10", "validate", {"integrator": {"dt": "small"}}, "integrator.dt"),
+            _bad_field("section11", "validate", {"integrator": {"reunitarize_every": "often"}},
+                       "integrator.reunitarize_every"),
+            _bad_field("section12", "validate", {"integrator": {"renormalize": "false"}},
+                       "integrator.renormalize"),
+            _bad_field("section13", "measure", {"measure": {"site": 1, "time": "later"}},
+                       "measure.time"),
+            _bad_field("section14", "measure", {"measure": {"site": 1, "tolerance": "loose"}},
+                       "measure.tolerance"),
+            _bad_field("section15", "circuit", {"circuit": {"depth": 1, "tolerance": "loose"}},
+                       "circuit.tolerance"),
+            _bad_field("section16", "circuit", {"circuit": {"depth": 1, "support_tol": "tiny"}},
+                       "circuit.support_tol"),
+            _bad_field("section17", "validate", {"n_sites": 0}, "n_sites"),
+            _bad_field("section18", "validate", {"output": {"format": "xml"}}, "output.format"),
+            _bad_field("section19", "circuit",
+                       {"circuit": {"depth": 1}, "integrator": {"mode": "direct"}},
+                       "integrator.mode"),
+            _bad_field("section20", "validate", {"seed": 2.9}, "seed"),
+            _bad_field("section21", "validate", {"seed": True}, "seed"),
+            _bad_field("section22", "validate", {"integrator": {"reunitarize_every": 2.9}},
+                       "integrator.reunitarize_every"),
+            _bad_field("section23", "validate", {"tolerance": True}, "tolerance"),
+            _bad_field("section24", "validate", {"integrator": {"dt": True}}, "integrator.dt"),
+            _bad_field("section25", "circuit", {"circuit": {"depth": 1.5}}, "circuit.depth"),
+            _bad_field("section26", "validate", {"observables": [{"pauli": "Z", "sites": [1.5]}]},
+                       "observables[0].sites"),
+            _bad_field("section27", "validate", {"integrator": "fast"}, "integrator"),
+            _bad_field("section28", "validate", {"output": "x.jsonl"}, "output"),
+            _bad_field("section29", "validate", {"cover": "nn"}, "cover"),
+            _bad_field("section30", "circuit", {"circuit": "deep"}, "circuit"),
+            _bad_field("section31", "measure", {"measure": 3}, "measure"),
+            _bad_field("section32", "evolve", {"times": []}, "times"),
+            _bad_field("section33", "validate", {"observables": [{"pauli": "Z", "sites": 3}]},
+                       "observables[0].sites"),
+            _bad_field("section34", "validate", {"observables": 3}, "observables"),
+            _bad_field("section35", "validate", {"cover": {"scheme": "explicit"}}, "cover"),
+            _bad_field("section36", "validate", {"cover": {"scheme": "explicit", "patches": 3}},
+                       "cover"),
+            _bad_field("section37", "validate", {"initial_state": {"bitstring": 101}},
+                       "initial_state.bitstring"),
+            _bad_field("section38", "circuit", {"circuit": {"depth": 1, "audit_patches": 5}},
+                       "circuit.audit_patches"),
         ],
     )
     def test_bad_scenario_field_is_a_config_error(
@@ -431,13 +453,13 @@ class TestRepoConfigs:
         assert result["wall_s"] < 2.0
         assert result["rss_mb"] < 150
 
-    def test_golden_example_structure_matches_regeneration(self, tmp_path):
-        golden = read_records(REPO / "docs" / "examples" / "validate_tfim_n4.jsonl")
+    @pytest.mark.parametrize("name", ["validate_tfim_n4", "circuit_audit_n10"])
+    def test_golden_example_structure_matches_regeneration(self, tmp_path, name):
+        golden = read_records(REPO / "docs" / "examples" / f"{name}.jsonl")
+        config = CONFIGS / f"{name}.json"
+        scenario = json.loads(config.read_text())["scenario"]
         out = tmp_path / "fresh.jsonl"
-        code = main(
-            ["validate", "--config", str(CONFIGS / "validate_tfim_n4.json"), "--out", str(out)]
-        )
-        assert code == EXIT_OK
+        assert main([scenario, "--config", str(config), "--out", str(out)]) == EXIT_OK
         fresh = read_records(out)
         assert [r["type"] for r in fresh] == [r["type"] for r in golden]
         assert [r.get("id") for r in fresh] == [r.get("id") for r in golden]

@@ -1071,6 +1071,33 @@ class TestWindowedLayer:
         assert peak < 16 * dim**2
         assert np.abs(new.frame_stack - eager_layer_frames(state, gates)).max() <= 1e-14
 
+    def test_products_lift_no_factor_past_its_own_range(self, monkeypatch):
+        # the last layer of an n = 10 depth-3 brickwork multiplies 64 x 64 cores
+        # that share a few sites; each product contracts over those sites only
+        n, depth = 10, 3
+        rng = np.random.default_rng(241)
+        state = init_gauge_state(random_state(2**n, rng), nn_pair_cover(n))
+        circ = brickwork(n, depth, 251)
+        for k in range(depth - 1):
+            state = apply_commuting_layer(state, circ.layer_gates(k))
+        lifted, overlapping = [], []
+        lift, mul = lattice_module._lift, gauge_module._mul
+
+        def spying_lift(w, lo, hi, out=None):
+            if w[:2] != (lo, hi):
+                lifted.append((w[:2], (lo, hi)))
+            return lift(w, lo, hi, out)
+
+        def spying_mul(a, b):
+            if a[:2] != b[:2] and max(a[0], b[0]) <= min(a[1], b[1]):
+                overlapping.append((a[:2], b[:2]))
+            return mul(a, b)
+
+        monkeypatch.setattr(lattice_module, "_lift", spying_lift)
+        monkeypatch.setattr(gauge_module, "_mul", spying_mul)
+        apply_commuting_layer(state, circ.layer_gates(depth - 1))
+        assert overlapping and not lifted
+
 
 class TestWindowedChecks:
     """diagnostics(), connections and audits read window-local frames through their cores."""

@@ -237,3 +237,65 @@ class TestWindowedDefects:
         product = _mul(a, b)
         assert product[:2] == (0, -1) and product[2].shape == (1, 1)
         assert np.array_equal(_lift(product, 0, 3), eye)
+
+
+class TestWindowProduct:
+    """`_mul` contracts two window cores over their shared sites only."""
+
+    @staticmethod
+    def _windows(n, seed):
+        """Every window of n sites, the empty one (a scaled identity) first."""
+        rng = np.random.default_rng(seed)
+        return [_window(m) for _, _, m in window_local_matrices(n, rng)]
+
+    @staticmethod
+    def _kind(a, b):
+        (la, ha), (lb, hb) = a[:2], b[:2]
+        if la > ha or lb > hb:
+            return "empty"
+        if (la, ha) == (lb, hb):
+            return "equal"
+        if max(la, lb) > min(ha, hb) + 1:
+            return "gap"
+        if max(la, lb) == min(ha, hb) + 1:
+            return "adjacent"
+        if la <= lb and hb <= ha:
+            return "b inside a"
+        if lb <= la and ha <= hb:
+            return "a inside b"
+        return "a above b" if ha > hb else "b above a"
+
+    def test_every_pair_of_windows_matches_the_lifted_product(self):
+        n = 6
+        windows = self._windows(n, 251)
+        kinds = set()
+        for a in windows:
+            for b in windows:
+                kinds.add(self._kind(a, b))
+                lo, hi, core = _mul(a, b)
+                assert (lo, hi) == _hull(a, b)
+                want = _lift(a, 0, n - 1) @ _lift(b, 0, n - 1)
+                assert np.abs(_lift((lo, hi, core), 0, n - 1) - want).max() <= 1e-13
+        assert len(kinds) == 8  # every kind of pair is met
+
+    def test_equal_ranges_and_unit_empty_factors_keep_the_hull_products_bits(self):
+        windows = self._windows(6, 257)
+        unit = (0, -1, np.ones((1, 1), dtype=complex))
+        for a in windows[1:]:
+            assert _mul(unit, a)[2] is a[2] and _mul(a, unit)[2] is a[2]  # no product
+            for b in [unit, a]:
+                for x, y in [(a, b), (b, a)]:
+                    got = _mul(x, y)
+                    assert got[:2] == a[:2]
+                    assert np.array_equal(got[2], _lift(x, *a[:2]) @ _lift(y, *a[:2]))
+
+    def test_a_scaled_empty_factor_scales_the_other_core(self):
+        windows = self._windows(6, 263)
+        scaled = windows[0]
+        assert scaled[:2] == (0, -1) and scaled[2][0, 0] != 1
+        for a in windows:
+            for x, y in [(scaled, a), (a, scaled)]:
+                lo, hi = _hull(x, y)
+                got = _mul(x, y)
+                assert got[:2] == (lo, hi)
+                assert np.abs(got[2] - _lift(x, lo, hi) @ _lift(y, lo, hi)).max() <= 1e-15
