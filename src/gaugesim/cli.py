@@ -381,17 +381,12 @@ def _header_record(exp: Experiment) -> dict:
     }
 
 
-def _defect_record(
-    state: GaugeState, time: float | None = None, include_cocycle: bool = True
-) -> dict:
-    fields = state.diagnostics(include_cocycle=include_cocycle).as_dict()
-    if not include_cocycle:
-        fields.pop("cocycle")  # not computed, do not report a fake zero
+def _defect_record(state: GaugeState, time: float) -> dict:
     return {
         "type": "defects",
-        "time": state.time if time is None else time,
+        "time": time,
         "steps": state.steps,
-        **fields,
+        **state.diagnostics().as_dict(),
     }
 
 
@@ -459,11 +454,7 @@ def _run_circuit(exp: Experiment, writer: RecordWriter) -> int:
     for record in _observable_records(exp, state, float(depth), ref.psi_schrodinger):
         max_gap = max(max_gap, record["gap"])
         writer.emit(record)
-    # the cocycle sweep is D x D where a triple's hulls span the chain: at n = 10, depth 3, 31 of
-    # 40 do; it took 1.9 s, the rest of diagnostics() 10-20 ms (1 thread, 2-core Xeon)
-    writer.emit(
-        _defect_record(state, time=float(depth), include_cocycle=exp.n_sites <= 8)
-    )
+    writer.emit(_defect_record(state, time=float(depth)))
     tol = exp.circuit_tolerance
     return writer.summary(
         all_ok and max_gap <= tol, max_gap=max_gap, tolerance=tol, audits_ok=all_ok

@@ -64,7 +64,6 @@ from .linalg import polar_unitary, require_normalized, require_unitary, unitarit
 GENERATOR = "generator"
 DIRECT = "direct"
 MODES = (GENERATOR, DIRECT)
-COCYCLE_TRIPLES = 40  # patch triples composed by the diagnostics cocycle sweep
 
 
 @dataclass(frozen=True)
@@ -112,8 +111,8 @@ class GaugeTransform:
 class DefectReport:
     """Worst-case violations of the picture's built-in identities."""
 
-    consistency: float  # max over pairs ||U_IJ psi_J - psi_I||
-    cocycle: float  # max over triples ||U_IJ U_JK - U_IK||_F
+    consistency: float  # max over the pair graph's edges ||U_IJ psi_J - psi_I||
+    cocycle: float  # max over its chains and loops ||U_IJ U_JK ... - U_IK||_F
     unitarity: float  # max ||U^dag U - 1||_F over frames/connections, via window cores
     norm: float  # max | ||psi_I|| - 1 |
 
@@ -128,11 +127,12 @@ class GaugeState:
     on their variables (the ones a mode does not store read None). Those are
     stored in the plain gauge, `local` holding the wavefunctions; `dressing`
     records each patch's gauge factor D_I, which only the read-outs apply
-    (`psi` is D_I psi_I). Each mode gives a connection U_IJ as one window,
-    `_connection(i, j)` (the empty window for i == j), which every reader
-    takes; `connection` is the one read-out that lifts it to D x D. Treat
-    instances as immutable: evolution and transformation functions return new
-    states. Observable queries are read-only.
+    (`psi` is D_I psi_I). Each mode gives its pair graph, `_pairs()`, which
+    the identity checks walk; a connection U_IJ as one window,
+    `_connection(i, j)` (empty for i == j), which every reader takes; and
+    U_IJ acting on a vector, `_transport`. Only `connection` lifts a
+    connection to D x D. Treat instances as immutable: evolution and
+    transformation functions return new states. Observable queries are read-only.
     """
 
     mode: str  # class constant of each mode
@@ -232,18 +232,48 @@ class GaugeState:
             vec = self._apply(patch, op, vec)
         return complex(np.vdot(self.local[chain[0][0]], vec))
 
-    # -- diagnostics -------------------------------------------------------
+    # -- the pair graph and the identity checks on it ----------------------
+
+    def _walk(self, root: int) -> dict[int, int]:
+        """Breadth-first parent of each patch reachable from root in the pair graph
+        (`_pairs`), in discovery order; the root is its own parent."""
+        graph: dict[int, list[int]] = {i: [] for i in range(len(self.cover))}
+        for i, j in self._pairs():
+            graph[i].append(j)
+            graph[j].append(i)
+        parent = {root: root}
+        queue = [root]
+        for u in queue:  # the queue grows while it is read
+            for v in graph[u]:
+                if v not in parent:
+                    parent[v] = u
+                    queue.append(v)
+        return parent
+
+    def _loops(self) -> Iterator[list[int]]:
+        """The paths whose connection product the cocycle sweep compares with the
+        connection between their ends: every chain i ~ j ~ k of the pair graph,
+        then every edge off its breadth-first forest, as the forest's path
+        between the edge's ends (on a tree-shaped graph there is none)."""
+        forest: dict[int, int] = {}
+        for j in range(len(self.cover)):
+            walk = self._walk(j)
+            near = [v for v, u in walk.items() if u == j != v]  # j's neighbours
+            yield from ([i, j, k] for i, k in itertools.combinations(near, 2))
+            forest = {**walk, **forest}  # each component keeps the walk from its first patch
+        for i, j in self._pairs():
+            path = _tree_path(forest, i, j)
+            if len(path) > 2:  # an edge off the forest
+                yield path
 
     def consistency(self) -> float:
-        """max over pairs ||U_IJ psi_J - psi_I||; no unitarity, norm or cocycle sweep."""
+        """max over the pair graph's edges (i, j) of ||U_IJ psi_J - psi_I||; no other sweep."""
         psi = list(self.local.values())
-        consistency = 0.0
-        for i, w in self._transported(psi):
-            consistency = max(consistency, float(np.linalg.norm(w - psi[i])))
-        return consistency
+        defects = [np.linalg.norm(self._transport(i, j, psi[j]) - psi[i]) for i, j in self._pairs()]
+        return float(max(defects, default=0.0))
 
     def diagnostics(self, include_cocycle: bool = True) -> DefectReport:
-        """Identity defects; the cocycle sweep covers the first COCYCLE_TRIPLES triples.
+        """Identity defects; consistency and cocycle are maxima over the pair graph.
 
         The unitarity sweep reads each frame or connection through its window
         core (a generator state's `windows`; a direct-mode connection's found
@@ -251,11 +281,10 @@ class GaugeState:
         ||M^dag M - 1||_F = sqrt(D / c) ||C^dag C - 1||_F, so a window-local
         matrix costs a c x c Gram instead of a D x D one. A dense matrix is its
         own core (scale 1.0), and its defect keeps the dense formula's bits.
-        The cocycle sweep multiplies connection windows over their shared
-        sites onto their hulls (`lattice._mul`), where two cores spanning the
-        chain are the dense sweep's product.
+        The cocycle sweep (`_loops`) multiplies the connections along each path
+        over their shared sites onto their hulls (`lattice._mul`), one path at
+        a time and with no connection kept from one path to the next.
         """
-        patches = self.cover.patches
         consistency = self.consistency()
         unitarity = 0.0
         for _, _, core in self._unitarity_windows():
@@ -264,19 +293,10 @@ class GaugeState:
             abs(float(np.linalg.norm(v)) - 1.0) for v in self.local.values()
         )
         cocycle = 0.0
-        if include_cocycle and len(patches) >= 3:
-            triples = itertools.islice(
-                itertools.combinations(range(len(patches)), 3), COCYCLE_TRIPLES
-            )
-            n = self.n_sites
-            for i, j, k in triples:
-                try:
-                    c_ij = self._connection(i, j)
-                    c_jk = self._connection(j, k)
-                    c_ik = self._connection(i, k)
-                except ContractError:
-                    continue  # disconnected pair graph: no loop to test
-                cocycle = max(cocycle, _distance(_mul(c_ij, c_jk), c_ik, n))
+        if include_cocycle:
+            for path in self._loops():
+                prod = functools.reduce(_mul, map(self._connection, path, path[1:]))
+                cocycle = max(cocycle, _distance(prod, self._connection(path[0], path[-1]), self.n_sites))
         return DefectReport(
             consistency=consistency,
             cocycle=cocycle,
@@ -329,24 +349,20 @@ class GeneratorState(GaugeState):
             kw.update(frame_stack=stored.get("frame_stack"), windows=stored.get("windows"))
         return super()._replace(**kw)
 
-    def _with_windows(self, windows: Sequence[Window]) -> "GeneratorState":
-        n = self.n_sites
-        local = {p: _apply_window(w, n, self.base) for p, w in zip(self.cover.patches, windows)}
-        return self._replace(windows=tuple(windows), local=local)
-
     def _connection(self, i: int, j: int) -> Window:
         """U_I U_J^dag, multiplied through the frames' window cores on their hull."""
         if i == j:
             return _IDENTITY
         return _mul(self.windows[i], _dagger(self.windows[j]))
 
-    def _transported(self, psi: list[np.ndarray]) -> Iterator[tuple[int, np.ndarray]]:
-        """(i, U_I U_J^dag psi_J) for every pair i < j, with U_J^dag psi_J formed once per J;
-        each frame acts through its window core."""
+    def _pairs(self) -> list[tuple[int, int]]:
+        """The overlapping pairs, the ones direct mode always stores."""
+        return self.cover.overlap_pairs()
+
+    def _transport(self, i: int, j: int, v: np.ndarray) -> np.ndarray:
+        """U_I U_J^dag v, each frame acting through its window core."""
         n, windows = self.n_sites, self.windows
-        pulled = [_apply_window(_dagger(w), n, v) for w, v in zip(windows, psi)]
-        for i, j in itertools.combinations(range(len(psi)), 2):
-            yield i, _apply_window(windows[i], n, pulled[j])
+        return _apply_window(windows[i], n, _apply_window(_dagger(windows[j]), n, v))
 
     def _unitarity_windows(self) -> Iterable[Window]:
         return self.windows
@@ -415,16 +431,15 @@ class GeneratorState(GaugeState):
                     windows[i] = _stripped(own.pop(p))
                 continue
             mats = [sandwich(gp) for gp in near[i]]
-            w = mats[0]
-            for s in mats[1:]:
-                w = _mul(w, s)
+            w = functools.reduce(_mul, mats)
             windows[i] = _stripped(_mul(own.pop(p) if p in gates else old[i], w))
             for gp in near[i]:
                 users[gp] -= 1
                 if not users[gp]:
                     del sandwiches[gp]
             del mats, w  # a sandwich past its last user is freed here
-        return self._with_windows(windows)
+        local = {p: _apply_window(u, n, self.base) for p, u in zip(patches, windows)}
+        return self._replace(windows=tuple(windows), local=local)
 
     def _collapsed(self, patch: Patch, collapsed: np.ndarray) -> "GeneratorState":
         n, windows = self.n_sites, self.windows
@@ -471,22 +486,6 @@ class DirectState(GaugeState):
         packed = np.empty((count + n_conn * dim, dim), dtype=np.complex128)
         return (packed, *_unpacked(packed, count))
 
-    def _walk(self, root: int) -> dict[int, int]:
-        """Breadth-first parent of each patch reachable from root through stored
-        connections, in discovery order; the root is its own parent."""
-        graph: dict[int, list[int]] = {i: [] for i in range(len(self.cover))}
-        for i, j in self.keys:
-            graph[i].append(j)
-            graph[j].append(i)
-        parent = {root: root}
-        queue = [root]
-        for u in queue:  # the queue grows while it is read
-            for v in graph[u]:
-                if v not in parent:
-                    parent[v] = u
-                    queue.append(v)
-        return parent
-
     def _connection(self, i: int, j: int) -> Window:
         """The stored connections multiplied along the walk, as a window spanning the chain."""
         if i == j:
@@ -497,17 +496,16 @@ class DirectState(GaugeState):
                 f"patches {self.cover.patches[i]} and {self.cover.patches[j]} "
                 "are not linked by any chain of stored connections"
             )
-        path = [j]
-        while path[-1] != i:
-            path.append(parent[path[-1]])
-        path.reverse()
+        path = _tree_path(parent, i, j)
         links = [_oriented(self.links, u, v) for u, v in zip(path, path[1:])]
         return 0, self.n_sites - 1, functools.reduce(np.matmul, links)  # left to right
 
-    def _transported(self, psi: list[np.ndarray]) -> Iterator[tuple[int, np.ndarray]]:
-        """(i, U_IJ psi_J) for every stored connection (i, j)."""
-        for (i, j), c in self.links.items():
-            yield i, c @ psi[j]
+    def _pairs(self) -> tuple[tuple[int, int], ...]:
+        return self.keys
+
+    def _transport(self, i: int, j: int, v: np.ndarray) -> np.ndarray:
+        """The stored connection from patch j to patch i applied to v."""
+        return _oriented(self.links, i, j) @ v
 
     def _unitarity_windows(self) -> Iterable[Window]:
         return map(_window, self.links.values())
@@ -597,8 +595,18 @@ class DirectState(GaugeState):
         packed, psi, conns = self._blank()
         conns[...] = _unpacked(self.packed, len(patches))[1]
         for v, u in parent.items():
-            psi[v] = collapsed if v == u else _oriented(self.links, v, u) @ psi[u]
+            psi[v] = collapsed if v == u else self._transport(v, u, psi[u])
         return self._replace(packed=packed)
+
+
+def _tree_path(parent: Mapping[int, int], i: int, j: int) -> list[int]:
+    """The patches on the path from i to j in a breadth-first forest (`GaugeState._walk`)."""
+    up, down = [i], [j]  # i's path to its root, then j's up to where it meets that one
+    while parent[up[-1]] != up[-1]:
+        up.append(parent[up[-1]])
+    while down[-1] not in up:
+        down.append(parent[down[-1]])
+    return up[: up.index(down[-1]) + 1] + down[-2::-1]
 
 
 def _unpacked(packed: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:

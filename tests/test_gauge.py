@@ -1275,14 +1275,18 @@ class TestWindowedReaders:
 
     @pytest.mark.parametrize("scale", [1.0, 1.01])
     def test_cocycle_matches_the_dense_sweep(self, scale):
-        # scaled frames break U_IJ U_JK = U_IK, so the sweep is compared at a nonzero value
+        # scaled frames break U_IJ U_JK = U_IK, so the sweep is compared at a nonzero value;
+        # a chain cover's overlap graph is a path, so the sweep sees its chains a ~ b ~ d only
         state = self._brickwork_state(scale)
         patches = state.cover.patches
-        triples = itertools.islice(
-            itertools.combinations(patches, 3), gauge_module.COCYCLE_TRIPLES
-        )
+        chains = [
+            (a, b, d)
+            for a, b, d in itertools.permutations(patches, 3)
+            if a < d and a.overlaps(b) and b.overlaps(d)
+        ]
+        assert len(chains) == len(patches) - 2
         c = state.connection
-        want = max(np.linalg.norm(c(a, b) @ c(b, d) - c(a, d)) for a, b, d in triples)
+        want = max(np.linalg.norm(c(a, b) @ c(b, d) - c(a, d)) for a, b, d in chains)
         assert abs(state.diagnostics().cocycle - want) <= 1e-13 * max(1.0, want)
         assert (want > 1e-3) == (scale != 1.0)
 
@@ -1344,6 +1348,24 @@ class TestWindowedReaders:
         assert all(abs(got - want) < 1e-8 for got, want in values.values())
         want = np.vdot(psi, apply_local(zz, a, n, apply_local(zz, b, n, psi)))
         assert abs(correlator - want) < 1e-8
+
+    def test_diagnostics_at_n14_walks_window_sized_products(self):
+        # each chain's product is formed on its hull and freed before the next chain's (49 MB);
+        # a cache of the sweep's connections peaked at 92 MB here
+        n = 14
+        rng = np.random.default_rng(281)
+        state = run_circuit(
+            init_gauge_state(random_state(2**n, rng), nn_pair_cover(n)), brickwork(n, 3, 283)
+        )
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            report = state.diagnostics()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 80 * 2**20
+        assert max(report.as_dict().values()) < 1e-11
 
 
 class TestWindowStorage:
@@ -1489,9 +1511,49 @@ class TestDiagnostics:
         assert 0.0 < d.consistency < 1e-6
         assert d.unitarity < 1e-6
 
+    @staticmethod
+    def _loop_cover_states():
+        # a 4-cycle of overlaps: 0 ~ 1 ~ 2 ~ 3 ~ 0; the walk from patch 0 leaves (2, 3) off its tree
+        rng = np.random.default_rng(271)
+        cover = PatchCover(5, [(0, 1, 2), (2, 3), (3, 4), (1, 4)])
+        terms = []
+        for p in cover.patches:
+            m = random_hermitian(p.dim, rng)
+            terms.append(LocalTerm(p, m / np.linalg.norm(m, 2)))
+        h = LocalHamiltonian(cover, terms)
+        psi0 = random_state(2**5, rng)
+        cfg = IntegratorConfig(dt=0.01, reunitarize_every=0)
+        return [
+            evolve(init_gauge_state(psi0, cover, mode=mode, hamiltonian=h), h, 0.2, cfg)
+            for mode in MODES
+        ]
+
+    def test_the_sweep_walks_the_chains_and_the_loop(self):
+        for state in self._loop_cover_states():
+            assert list(state._loops()) == [[1, 0, 3], [0, 1, 2], [1, 2, 3], [0, 3, 2], [2, 1, 0, 3]]
+
+    def test_a_loop_cover_in_generator_mode_keeps_every_identity(self):
+        generator = self._loop_cover_states()[MODES.index(GENERATOR)]
+        assert max(generator.diagnostics().as_dict().values()) <= 1e-6
+
+    def test_cocycle_sees_a_link_that_consistency_cannot(self):
+        # W fixes psi_3, so c_23 W psi_3 = c_23 psi_3, but c_23 W leaves the loop's holonomy
+        state = self._loop_cover_states()[MODES.index(DIRECT)]
+        rng = np.random.default_rng(277)
+        psi3 = state.local[state.cover.patches[3]]
+        u = psi3 / np.linalg.norm(psi3)
+        q, _ = np.linalg.qr(np.column_stack([u, random_unitary(32, rng)[:, 1:]]))
+        phases = np.exp(2j * np.pi * rng.uniform(size=31))
+        w = np.outer(u, u.conj()) + (q[:, 1:] * phases) @ q[:, 1:].conj().T
+        assert np.linalg.norm(w @ psi3 - psi3) < 1e-13
+        bad = DirectState(state.cover, state.time, state.steps, state.packed.copy(), state.keys)
+        bad.links[(2, 3)][...] = bad.links[(2, 3)] @ w
+        before, after = state.diagnostics(), bad.diagnostics()
+        assert abs(after.consistency - before.consistency) <= 1e-12
+        assert before.cocycle < 1e-6 < 1e-2 < after.cocycle
 
     def test_direct_mode_on_an_unlinked_pair_graph(self):
-        # single-site patches store no pairs: every cocycle triple is skipped, not an error
+        # single-site patches store no pairs: the pair graph has no edge, chain or loop
         state = init_gauge_state(plus_state(3), single_site_cover(3), mode=DIRECT)
         assert state.diagnostics().as_dict() == dict.fromkeys(
             ("consistency", "cocycle", "unitarity", "norm"), 0.0
