@@ -219,8 +219,8 @@ class GaugeState:
     def correlator(self, chain: Sequence[tuple[Patch, np.ndarray]]) -> complex:
         """<psi_{I_1}| A_1 U_{I_1 I_2} A_2 ... A_m |psi_{I_m}> for patch-supported A_k.
 
-        Each connection acts on the running vector through its window, so
-        no D x D matrix is formed while the windows fall short of the chain.
+        Each connection acts on the running vector through `_transport`, so
+        none is multiplied out; from a patch to itself the vector is kept.
         """
         if not chain:
             raise ContractError("correlator needs at least one (patch, operator) pair")
@@ -228,7 +228,8 @@ class GaugeState:
         last, op = chain[-1]
         vec = self._apply(last, op, self.local[last])
         for (patch, op), i, j in reversed(list(zip(chain, index, index[1:]))):
-            vec = _apply_window(self._connection(i, j), self.n_sites, vec)
+            if i != j:
+                vec = self._transport(i, j, vec)
             vec = self._apply(patch, op, vec)
         return complex(np.vdot(self.local[chain[0][0]], vec))
 
@@ -486,10 +487,8 @@ class DirectState(GaugeState):
         packed = np.empty((count + n_conn * dim, dim), dtype=np.complex128)
         return (packed, *_unpacked(packed, count))
 
-    def _connection(self, i: int, j: int) -> Window:
-        """The stored connections multiplied along the walk, as a window spanning the chain."""
-        if i == j:
-            return _IDENTITY
+    def _walk_links(self, i: int, j: int) -> list[np.ndarray]:
+        """The stored connections along the walk from patch i to patch j, left to right."""
         parent = self._walk(i)  # a stored (i, j) is found as the one-link path
         if j not in parent:
             raise ContractError(
@@ -497,15 +496,22 @@ class DirectState(GaugeState):
                 "are not linked by any chain of stored connections"
             )
         path = _tree_path(parent, i, j)
-        links = [_oriented(self.links, u, v) for u, v in zip(path, path[1:])]
-        return 0, self.n_sites - 1, functools.reduce(np.matmul, links)  # left to right
+        return [_oriented(self.links, u, v) for u, v in zip(path, path[1:])]
+
+    def _connection(self, i: int, j: int) -> Window:
+        """The stored connections multiplied along the walk, as a window spanning the chain."""
+        if i == j:
+            return _IDENTITY
+        return 0, self.n_sites - 1, functools.reduce(np.matmul, self._walk_links(i, j))
 
     def _pairs(self) -> tuple[tuple[int, int], ...]:
         return self.keys
 
     def _transport(self, i: int, j: int, v: np.ndarray) -> np.ndarray:
-        """The stored connection from patch j to patch i applied to v."""
-        return _oriented(self.links, i, j) @ v
+        """The stored links along the walk from patch j to patch i applied to v one at a time."""
+        for c in reversed(self._walk_links(i, j)):
+            v = c @ v
+        return v
 
     def _unitarity_windows(self) -> Iterable[Window]:
         return map(_window, self.links.values())
@@ -675,9 +681,9 @@ def init_gauge_state(
 
 
 def _conjugated(op: np.ndarray, patch: Patch, n: int, c: np.ndarray | None) -> np.ndarray:
-    """c embed(op) c^dag without forming embed(op); None stands for the identity."""
+    """c embed(op) c^dag, forming embed(op) only where c is None (the identity)."""
     if c is None:
-        return apply_local(op, patch, n, np.eye(2**n, dtype=np.complex128))
+        return embed_operator(op, patch, n)
     return c @ apply_local(op, patch, n, c.conj().T)
 
 
@@ -839,11 +845,9 @@ def require_commuting(
         if not pa.overlaps(pb):
             continue  # disjoint supports commute exactly
         union = sorted(set(pa.sites) | set(pb.sites))
-        k = len(union)
-        eye = np.eye(2**k, dtype=np.complex128)
         # embed both gates into the union subspace to bound the commutator
-        a = apply_local(ua, [union.index(s) for s in pa.sites], k, eye)
-        b = apply_local(ub, [union.index(s) for s in pb.sites], k, eye)
+        a = embed_operator(ua, [union.index(s) for s in pa.sites], len(union))
+        b = embed_operator(ub, [union.index(s) for s in pb.sites], len(union))
         defect = float(np.linalg.norm(a @ b - b @ a))
         if defect > tol:
             raise ContractError(

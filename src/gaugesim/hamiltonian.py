@@ -193,7 +193,7 @@ class LocalHamiltonian:
         self._plans: dict[tuple[Patch, ...], StepPlan] = {}
         self._spectrum: tuple[np.ndarray, np.ndarray] | None = None
         if self.gen_terms:
-            gen_sum = self._gen_sum(0.0)
+            gen_sum = self._gen_sum(0.0, range(len(self.gen_terms)))
             defect = hermiticity_defect(gen_sum)
             scale = max(1.0, float(np.max(np.abs(gen_sum))))
             if defect > 1e-8 * scale:
@@ -255,11 +255,10 @@ class LocalHamiltonian:
 
     # -- dense evaluation --------------------------------------------------
 
-    def _gen_sum(self, t: float, indices: Iterable[int] | None = None) -> np.ndarray:
+    def _gen_sum(self, t: float, indices: Iterable[int]) -> np.ndarray:
         dim = self.cover.dim
         out = np.zeros((dim, dim), dtype=np.complex128)
-        which = range(len(self.gen_terms)) if indices is None else indices
-        for g in which:
+        for g in indices:
             gt = self.gen_terms[g]
             prod = self.embedded_factor(g, 0).copy()
             for k in range(1, len(gt.factors)):
@@ -267,29 +266,27 @@ class LocalHamiltonian:
             out += gt.coeff(t) * prod
         return out
 
-    def total(self, t: float = 0.0) -> np.ndarray:
-        """The full Hamiltonian as a dense global matrix at time t."""
+    def _sum(self, t: float, sites: set[int]) -> np.ndarray:
+        """The dense sum at time t of the terms acting on any of `sites`, in term order."""
         dim = self.cover.dim
         out = np.zeros((dim, dim), dtype=np.complex128)
         for i, term in enumerate(self.terms):
-            out += term.coefficient(t) * self.embedded_term(i)
-        if self.gen_terms:
-            out += self._gen_sum(t)
+            if sites.intersection(term.patch.sites):
+                out += term.coefficient(t) * self.embedded_term(i)
+        gen = [g for g, gt in enumerate(self.gen_terms) if gt.union_sites & sites]
+        if gen:
+            out += self._gen_sum(t, gen)
         return out
+
+    def total(self, t: float = 0.0) -> np.ndarray:
+        """The full Hamiltonian as a dense global matrix at time t."""
+        return self._sum(t, set(range(self.n_sites)))
 
     def neighborhood(self, patch: Patch, t: float = 0.0) -> np.ndarray:
         """Sum of terms whose patches (or patch unions) overlap `patch`, embedded globally."""
         if patch not in self.cover:
             raise ContractError(f"{patch} is not a patch of the cover")
-        dim = self.cover.dim
-        out = np.zeros((dim, dim), dtype=np.complex128)
-        for i, term in enumerate(self.terms):
-            if term.patch.overlaps(patch):
-                out += term.coefficient(t) * self.embedded_term(i)
-        gen = [g for g, gt in enumerate(self.gen_terms) if gt.union_sites & set(patch.sites)]
-        if gen:
-            out += self._gen_sum(t, gen)
-        return out
+        return self._sum(t, set(patch.sites))
 
 
 # ---------------------------------------------------------------------------

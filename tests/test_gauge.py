@@ -1309,6 +1309,44 @@ class TestWindowedReaders:
             vec = apply_local(op, patch, n, state.connection(patch, nxt) @ vec)
         assert abs(state.correlator(chain) - np.vdot(state.psi[first], vec)) <= 1e-12
 
+    def test_correlator_on_dense_frames_holds_one_matrix(self):
+        # each connection acts on the vector frame by frame; forming U_I U_J^dag would hold two
+        n = 8
+        rng = np.random.default_rng(269)
+        state = run_circuit(
+            init_gauge_state(random_state(2**n, rng), nn_pair_cover(n)), brickwork(n, 12, 271)
+        )
+        assert all(hi - lo + 1 == n for lo, hi, _ in state.windows)
+        zz = np.kron(PAULI_Z, PAULI_Z)
+        a, b = Patch((1, 2)), Patch((5, 6))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            got = state.correlator([(a, zz), (b, zz)])
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 16 * 4**n
+        vec = state.connection(a, b) @ apply_local(zz, b, n, state.psi[b])
+        want = np.vdot(state.psi[a], apply_local(zz, a, n, vec))
+        assert abs(got - want) <= 1e-12
+
+    def test_direct_correlator_transports_along_the_walk(self):
+        h = tfim_chain(5, 1.0, 1.0)
+        rng = np.random.default_rng(277)
+        state = init_gauge_state(random_state(32, rng), h.cover, mode=DIRECT, hamiltonian=h)
+        state = evolve(state, h, 0.02, IntegratorConfig(dt=0.01, reunitarize_every=0))
+        v = random_state(32, rng)
+        for (i, j), c in state.links.items():  # a stored pair is its one link, bit for bit
+            assert np.array_equal(state._transport(i, j, v), c @ v)
+            assert np.array_equal(state._transport(j, i, v), c.conj().T @ v)
+        zz = np.kron(PAULI_Z, PAULI_Z)
+        a, b = Patch((0, 1)), Patch((3, 4))  # three links apart
+        got = state.correlator([(a, zz), (b, zz)])
+        vec = state.connection(a, b) @ apply_local(zz, b, 5, state.psi[b])
+        want = np.vdot(state.psi[a], apply_local(zz, a, 5, vec))
+        assert abs(got - want) <= 1e-12
+
     @pytest.mark.parametrize("mode", MODES)
     def test_connection_of_a_patch_to_itself_is_exactly_the_identity(self, mode):
         h = tfim_chain(4, 1.0, 1.0)

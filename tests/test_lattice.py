@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -144,6 +146,30 @@ class TestEmbedOperator:
         eb = embed_operator(b, Patch((2, 3)), 4)
         assert np.abs(ea @ eb - eb @ ea).max() < 1e-13
 
+    @pytest.mark.parametrize("sites", [(4, 5), (2, 5, 7), (0, 9)])
+    def test_allocates_one_matrix_at_n10(self, sites):
+        # one strided write into one fresh D x D array, also where a gapped patch's hull is
+        # the chain; a kron and a transpose, or apply_local on an identity, hold two or more
+        n = 10
+        rng = np.random.default_rng(17)
+        k = len(sites)
+        a = rng.standard_normal((2**k, 2**k)) + 1j * rng.standard_normal((2**k, 2**k))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            got = embed_operator(a, sites, n)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 16 * 4**n
+        assert np.array_equal(got, apply_local(a, sites, n, np.eye(2**n)))
+
+    def test_patch_spanning_the_chain_returns_a_fresh_array(self):
+        rng = np.random.default_rng(19)
+        a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        got = embed_operator(a, Patch((0, 1, 2)), 3)
+        assert np.array_equal(got, a) and not np.shares_memory(got, a)
+
 
 class TestApplyLocal:
     def test_matches_embedded_products(self):
@@ -151,7 +177,7 @@ class TestApplyLocal:
         a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         m = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
         v = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        e = embed_operator(a, Patch((1, 3)), 4)
+        e = brute_embed(a, (1, 3), 4)
         assert np.abs(apply_local(a, (1, 3), 4, v) - e @ v).max() < 1e-13
         assert np.abs(apply_local(a, (1, 3), 4, m) - e @ m).max() < 1e-13
 
