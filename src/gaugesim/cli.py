@@ -260,6 +260,8 @@ def parse_config(raw: dict, overrides: dict | None = None) -> Experiment:
     renormalize = integ.pop("renormalize", False)
     if not isinstance(renormalize, bool):
         raise _fail("integrator.renormalize", f"must be true or false, got {renormalize!r}")
+    if renormalize and mode == GENERATOR:
+        raise _fail("integrator.renormalize", "is a direct-mode option")
     try:
         integrator = IntegratorConfig(
             dt=_number(integ.pop("dt", 1e-3), "integrator.dt"),

@@ -72,7 +72,7 @@ class IntegratorConfig:
 
     dt: float = 1e-3
     reunitarize_every: int = 100  # 0 disables drift correction
-    renormalize: bool = False
+    renormalize: bool = False  # direct mode only: rescale each psi_I to norm 1 after a step
 
     def __post_init__(self):
         dt, every = self.dt, self.reunitarize_every
@@ -147,13 +147,11 @@ class GaugeState:
         cover: PatchCover,
         time: float,
         steps: int,
-        local: dict[Patch, np.ndarray],
         dressing: dict[Patch, np.ndarray] | None = None,
     ):
         self.cover = cover
         self.time = float(time)
         self.steps = int(steps)
-        self.local = local
         self.dressing = dressing or {}
 
     # -- construction helpers -------------------------------------------
@@ -309,21 +307,22 @@ class GaugeState:
 class GeneratorState(GaugeState):
     """Generator mode: one frame unitary U_I per patch and psi_I = U_I base.
 
-    Each plain-gauge frame is stored in one of two forms, and the other is
-    derived from it once, when first read. A commuting layer and the t = 0
-    state store `windows`, each frame as a `lattice.Window` (lo, hi, core),
-    exactly 1 (x) core (x) 1; `frame_stack` lifts them to one (P, D, D)
-    array in cover order. An RK4 step stores `frame_stack`, and `windows`
-    finds each frame's window by value (`lattice._window`). Either way a
-    stored window is what `_window` finds on its frame. `frames` maps each
-    patch to D_I U_I. Connections are U_I U_J^dag.
+    Only `base` and the plain-gauge frames are stored, each frame in one of
+    two forms; the other form, and `local`, are derived once, when first
+    read. A commuting layer and the t = 0 state store `windows`, each frame
+    as a `lattice.Window` (lo, hi, core), exactly 1 (x) core (x) 1;
+    `frame_stack` lifts them to one (P, D, D) array in cover order. An RK4
+    step stores `frame_stack`, and `windows` finds each frame's window by
+    value (`lattice._window`). Either way a stored window is what `_window`
+    finds on its frame. `frames` maps each patch to D_I U_I. Connections
+    are U_I U_J^dag.
     """
 
     mode = GENERATOR
-    _fields = GaugeState._fields + ("local", "base")
+    _fields = GaugeState._fields + ("base",)
 
-    def __init__(self, cover, time, steps, local, base, dressing=None, *, frame_stack=None, windows=None):
-        super().__init__(cover, time, steps, local, dressing)
+    def __init__(self, cover, time, steps, base, dressing=None, *, frame_stack=None, windows=None):
+        super().__init__(cover, time, steps, dressing)
         self.base = base
         if frame_stack is not None:  # a stored form is the cached value of its property
             self.frame_stack = frame_stack
@@ -344,11 +343,20 @@ class GeneratorState(GaugeState):
         """Each plain-gauge frame's window; found by value in `frame_stack` unless stored."""
         return tuple(_window(u) for u in self.frame_stack)
 
+    @functools.cached_property
+    def local(self) -> dict[Patch, np.ndarray]:
+        """psi_I = U_I base of each patch, each frame applied through its window core."""
+        n, base = self.n_sites, self.base
+        return {p: _apply_window(w, n, base) for p, w in zip(self.cover.patches, self.windows)}
+
     def _replace(self, **kw) -> "GeneratorState":
-        if "frame_stack" not in kw and "windows" not in kw:  # share every form derived so far
-            stored = vars(self)
-            kw.update(frame_stack=stored.get("frame_stack"), windows=stored.get("windows"))
-        return super()._replace(**kw)
+        if kw.keys() & {"frame_stack", "windows"}:
+            return super()._replace(**kw)
+        read = vars(self)  # the same frames: share every form read so far, and `local` with `base`
+        new = super()._replace(frame_stack=read.get("frame_stack"), windows=read.get("windows"), **kw)
+        if "local" in read and "base" not in kw:
+            new.local = read["local"]
+        return new
 
     def _connection(self, i: int, j: int) -> Window:
         """U_I U_J^dag, multiplied through the frames' window cores on their hull."""
@@ -363,12 +371,14 @@ class GeneratorState(GaugeState):
     def _transport(self, i: int, j: int, v: np.ndarray) -> np.ndarray:
         """U_I U_J^dag v, each frame acting through its window core."""
         n, windows = self.n_sites, self.windows
-        return _apply_window(windows[i], n, _apply_window(_dagger(windows[j]), n, v))
+        return _apply_window(windows[i], n, _apply_window(windows[j], n, v, adjoint=True))
 
     def _unitarity_windows(self) -> Iterable[Window]:
         return self.windows
 
     def _step(self, plan: StepPlan, config: IntegratorConfig, reunitarize: bool) -> "GeneratorState":
+        if config.renormalize:  # |psi_I| is U_I's unitarity, which reunitarize_every restores
+            raise ContractError("renormalize is a direct-mode option")
         t_next = self.time + config.dt
         new_steps = self.steps + 1
         with np.errstate(invalid="ignore", over="ignore"):
@@ -377,12 +387,7 @@ class GeneratorState(GaugeState):
         _require_finite(frames, t_next, new_steps)
         if reunitarize:
             frames = _reunitarized(frames, t_next, new_steps)
-        psi = frames @ self.base
-        if config.renormalize:
-            psi /= np.linalg.norm(psi, axis=1, keepdims=True)
-        return self._replace(
-            time=t_next, steps=new_steps, local=dict(zip(plan.patches, psi)), frame_stack=frames
-        )
+        return self._replace(time=t_next, steps=new_steps, frame_stack=frames)
 
     def _layered(self, gates: dict[Patch, np.ndarray]) -> "GeneratorState":
         """U_I -> U_I prod_(gates g near I) S_g, with S_g = U_g^dag G U_g.
@@ -439,15 +444,12 @@ class GeneratorState(GaugeState):
                 if not users[gp]:
                     del sandwiches[gp]
             del mats, w  # a sandwich past its last user is freed here
-        local = {p: _apply_window(u, n, self.base) for p, u in zip(patches, windows)}
-        return self._replace(windows=tuple(windows), local=local)
+        return self._replace(windows=tuple(windows))
 
     def _collapsed(self, patch: Patch, collapsed: np.ndarray) -> "GeneratorState":
-        n, windows = self.n_sites, self.windows
-        new_base = _apply_window(_dagger(windows[self.cover.index(patch)]), n, collapsed)
-        local = {p: _apply_window(w, n, new_base) for p, w in zip(self.cover.patches, windows)}
-        local[patch] = collapsed
-        return self._replace(local=local, base=new_base)
+        """The frames with base U_p^dag collapsed, so psi_p reads U_p U_p^dag collapsed."""
+        w = self.windows[self.cover.index(patch)]
+        return self._replace(base=_apply_window(w, self.n_sites, collapsed, adjoint=True))
 
 
 class DirectState(GaugeState):
@@ -465,10 +467,11 @@ class DirectState(GaugeState):
     _fields = GaugeState._fields + ("packed", "keys")
 
     def __init__(self, cover, time, steps, packed, keys, dressing=None):
+        super().__init__(cover, time, steps, dressing)
         psi, conns = _unpacked(packed, len(cover))
-        super().__init__(cover, time, steps, dict(zip(cover.patches, psi)), dressing)
         self.packed = packed
         self.keys = tuple(keys)
+        self.local = dict(zip(cover.patches, psi))
         self.links = dict(zip(self.keys, conns))
 
     @functools.cached_property
@@ -650,13 +653,6 @@ def _dressed_window(w: Window, left: np.ndarray | None, right: np.ndarray | None
 # ---------------------------------------------------------------------------
 
 
-def required_pairs(cover: PatchCover, hml: LocalHamiltonian | None) -> set[tuple[int, int]]:
-    """Connection pairs the direct-mode equations of motion will read."""
-    if hml is None:
-        return set(cover.overlap_pairs())
-    return set(hml.step_plan(cover).connection_keys)
-
-
 def init_gauge_state(
     psi0,
     cover: PatchCover,
@@ -667,12 +663,11 @@ def init_gauge_state(
     psi0 = require_normalized(psi0, cover.dim)
     if mode not in MODES:
         raise ContractError(f"unknown mode {mode!r}")
-    psi = np.repeat(psi0[None, :], len(cover), axis=0)
-    if mode == DIRECT:
-        bare = DirectState(cover, 0.0, 0, packed=psi, keys=())
-        return bare._with_pairs(required_pairs(cover, hamiltonian))
-    psi = dict(zip(cover.patches, psi))
-    return GeneratorState(cover, 0.0, 0, psi, psi0.copy(), windows=(_IDENTITY,) * len(cover))
+    if mode == GENERATOR:
+        return GeneratorState(cover, 0.0, 0, psi0.copy(), windows=(_IDENTITY,) * len(cover))
+    bare = DirectState(cover, 0.0, 0, packed=np.repeat(psi0[None, :], len(cover), axis=0), keys=())
+    plan = None if hamiltonian is None else hamiltonian.step_plan(cover)  # the pairs a step reads
+    return bare._with_pairs(cover.overlap_pairs() if plan is None else plan.connection_keys)
 
 
 # ---------------------------------------------------------------------------

@@ -366,12 +366,16 @@ def _dagger(w: Window) -> Window:
     return lo, hi, core.conj().T
 
 
-def _apply_window(w: Window, n: int, v: np.ndarray) -> np.ndarray:
-    """w @ v for a vector v of the n-site chain, through w's core.
+def _apply_window(w: Window, n: int, v: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    """w @ v for a vector v of the n-site chain, through w's core; w^dag @ v if
+    adjoint, as conj(w^T conj(v)), so no conjugated copy of the core is made.
 
     A window spanning the chain is a dense matrix, multiplied as one.
     """
     lo, hi, core = w
+    if adjoint:
+        out = _apply_window((lo, hi, core.T), n, v.conj())
+        return np.conjugate(out, out=out)
     if hi - lo + 1 == n:
         return core @ v
     if lo > hi:

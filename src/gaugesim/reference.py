@@ -150,8 +150,6 @@ def reference_gauge_state(
     dt: float | None = None,
 ) -> ReferenceBundle:
     """All per-patch reference quantities at time t, from global propagation."""
-    if cover is None:
-        cover = hml.cover
     if cover != hml.cover:
         raise ContractError("cover does not match the Hamiltonian's cover")
     psi0 = require_normalized(psi0, cover.dim)

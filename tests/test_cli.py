@@ -85,6 +85,12 @@ class TestParseConfig:
         assert exp.integrator.dt == 0.01
         assert exp.mode == "direct"
 
+    def test_renormalize_is_a_direct_mode_option(self):
+        direct = {"mode": "direct", "renormalize": True}
+        assert parse_config(base_config(integrator=direct)).integrator.renormalize
+        with pytest.raises(ConfigError, match="integrator.renormalize"):
+            parse_config(base_config(integrator=direct), {"mode": "generator"})
+
     def test_hash_ignores_output_sink(self):
         a = base_config()
         b = base_config(output={"path": "elsewhere.jsonl"})
@@ -258,6 +264,8 @@ class TestScenarios:
                        "initial_state.bitstring"),
             _bad_field("section38", "circuit", {"circuit": {"depth": 1, "audit_patches": 5}},
                        "circuit.audit_patches"),
+            _bad_field("section39", "validate", {"integrator": {"renormalize": True}},
+                       "integrator.renormalize"),
         ],
     )
     def test_bad_scenario_field_is_a_config_error(

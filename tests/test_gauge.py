@@ -30,7 +30,6 @@ from gaugesim.gauge import (
     evolve,
     gauge_transform,
     init_gauge_state,
-    required_pairs,
     step,
 )
 from gaugesim.integrate import rk4_step
@@ -116,7 +115,7 @@ class TestInit:
 
     def test_required_pairs_include_generalized_couplings(self):
         h = tfim_chain_sitewise(4, 1.0, 1.0)
-        pairs = required_pairs(h.cover, h)
+        pairs = init_gauge_state(plus_state(4), h.cover, mode=DIRECT, hamiltonian=h).keys
         assert (0, 1) in pairs and (2, 3) in pairs
         assert h.cover.overlap_pairs() == []  # they come from the terms alone
 
@@ -309,6 +308,13 @@ class TestStepAndEvolve:
         state = init_gauge_state(plus_state(4), h.cover, mode=DIRECT, hamiltonian=h)
         state = evolve(state, h, 0.5, cfg)
         assert state.diagnostics().norm < 1e-14
+
+    def test_renormalize_is_a_direct_mode_option(self):
+        # a generator state's norms are its frames' unitarity, which reunitarize_every restores
+        h = tfim_chain(4, 1.0, 1.0)
+        state = init_gauge_state(plus_state(4), h.cover)
+        with pytest.raises(ContractError, match="renormalize is a direct-mode option"):
+            step(state, h, IntegratorConfig(dt=1e-3, renormalize=True))
 
     def test_generator_and_direct_agree(self):
         h = tfim_chain(4, 1.0, 1.0)
@@ -663,8 +669,8 @@ class TestPlainGaugeStorage:
         if mode == DIRECT:
             for (i, j), c in state.connections.items():
                 assert np.array_equal(dressed.connections[(i, j)], want(c, patches[i], patches[j]))
-        # the undressed patch reads its stored array
-        assert np.shares_memory(dressed.psi[patches[3]], state.local[patches[3]])
+        # the undressed patch reads its plain-gauge array
+        assert dressed.psi[patches[3]] is dressed.local[patches[3]]
         # observables never read the dressing, so they keep their bits
         zz = np.kron(PAULI_Z, PAULI_Z)
         chain = [(patches[0], zz), (patches[2], np.kron(PAULI_X, np.eye(2)))]
@@ -786,11 +792,6 @@ class TestCommutingLayers:
                 want = np.vdot(psi_after, embed_operator(op, p, n) @ psi_after)
                 assert abs(new.local_expectation(p, op) - want) < 1e-12
         assert new.diagnostics().consistency < 1e-12
-
-
-def _with_frames(state, frames):
-    """The generator state with the (P, D, D) frame stack `frames` stored, and its psi."""
-    return state._replace(frame_stack=frames, local=dict(zip(state.cover.patches, frames @ state.base)))
 
 
 def _dense_work_spy(monkeypatch, n):
@@ -1107,7 +1108,7 @@ class TestWindowedChecks:
         """A generator state on the one-patch cover whose frame is m."""
         n = m.shape[0].bit_length() - 1
         state = init_gauge_state(plus_state(n), PatchCover(n, [tuple(range(n))]))
-        return _with_frames(state, np.array(m, dtype=complex)[None])
+        return state._replace(frame_stack=np.array(m, dtype=complex)[None])
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_window_local_unitarity_matches_the_dense_formula(self, n):
@@ -1137,7 +1138,7 @@ class TestWindowedChecks:
             packed[len(cover) :] *= scale  # the connection rows
             state = state._replace(packed=packed)
         else:
-            state = _with_frames(state, scale * state.frame_stack)
+            state = state._replace(frame_stack=scale * state.frame_stack)
         stored = state.frame_stack if mode == GENERATOR else state.connections.values()
         want = max(dense_unitarity_defect(m) for m in stored)
         assert abs(state.diagnostics().unitarity - want) <= 1e-13 * max(1.0, want)
@@ -1218,7 +1219,7 @@ class TestWindowedChecks:
         the products spanning the chain, over diagnostics() and every patch's audit."""
         dim, n = state.dim, state.n_sites
         Counting, dense = _dense_product_counter(dim)
-        state = _with_frames(state, state.frame_stack.view(Counting))
+        state = state._replace(frame_stack=state.frame_stack.view(Counting))
         grams, spanning = [], []
         defect, mul = gauge_module.unitarity_defect, gauge_module._mul
 
@@ -1271,7 +1272,7 @@ class TestWindowedReaders:
         count = len(state.cover)
         spans = {state._connection(i, j)[:2] for i in range(count) for j in range(count) if i != j}
         assert (0, n - 1) in spans and len(spans) > 1
-        return state if scale == 1.0 else _with_frames(state, scale * state.frame_stack)
+        return state if scale == 1.0 else state._replace(frame_stack=scale * state.frame_stack)
 
     @pytest.mark.parametrize("scale", [1.0, 1.01])
     def test_cocycle_matches_the_dense_sweep(self, scale):
@@ -1310,7 +1311,8 @@ class TestWindowedReaders:
         assert abs(state.correlator(chain) - np.vdot(state.psi[first], vec)) <= 1e-12
 
     def test_correlator_on_dense_frames_holds_one_matrix(self):
-        # each connection acts on the vector frame by frame; forming U_I U_J^dag would hold two
+        # each connection acts on the vector frame by frame, the adjoint with no conjugated
+        # copy of the core; forming U_I U_J^dag would hold two matrices, and that copy one
         n = 8
         rng = np.random.default_rng(269)
         state = run_circuit(
@@ -1326,7 +1328,7 @@ class TestWindowedReaders:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * 16 * 4**n
+        assert peak <= 0.25 * 16 * 4**n
         vec = state.connection(a, b) @ apply_local(zz, b, n, state.psi[b])
         want = np.vdot(state.psi[a], apply_local(zz, a, n, vec))
         assert abs(got - want) <= 1e-12
@@ -1501,6 +1503,25 @@ class TestWindowStorage:
             assert abs(value - np.vdot(psi, embed_operator(zz, p, n) @ psi)) < 1e-8
         p0 = np.linalg.norm(embed_operator(ks.operators[0], ks.patch, n) @ psi) ** 2
         assert abs(probs[0] - p0) < 1e-8
+
+    def test_third_layer_at_n18_holds_no_patch_vector(self):
+        # a layer stores the windows only; psi_I = U_I base is read out when first read
+        n = 18
+        psi0 = np.zeros(2**n, dtype=complex)
+        psi0[0] = 1.0
+        state = init_gauge_state(psi0, nn_pair_cover(n))
+        circ = brickwork(n, 3, 5)
+        for k in range(2):
+            state = apply_commuting_layer(state, circ.layer_gates(k))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            new = apply_commuting_layer(state, circ.layer_gates(2))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert "local" not in vars(new) and new.base is state.base
+        assert peak < 4 * 16 * 2**n  # four 2^n vectors; storing every psi_I took 17
 
     def test_audits_read_the_stored_windows(self, monkeypatch):
         n = 8
@@ -1728,6 +1749,31 @@ class TestModeClasses:
         with pytest.raises(ContractError, match="unknown mode"):
             init_gauge_state(plus_state(3), h.cover, mode="euler")
 
+    def test_generator_state_stores_base_and_frames_only(self):
+        from gaugesim.measure import apply_measurement, site_projectors
+
+        h = tfim_chain(4, 1.0, 1.0)
+        rng = np.random.default_rng(281)
+        state = init_gauge_state(random_state(16, rng), h.cover)
+        stepped = step(state, h, CFG)
+        layered = apply_commuting_layer(state, {Patch((1, 2)): random_unitary(4, rng)})
+        for s in (state, stepped, layered):
+            assert "local" not in vars(s) and "base" in vars(s)
+        measured, _ = apply_measurement(stepped, site_projectors(Patch((2, 3)), 3), outcome=0)
+        assert "local" in vars(stepped) and "local" not in vars(measured)
+        # the read-out applies each frame's window to base, whichever form is stored
+        for s in (stepped, layered):
+            for p, w in zip(h.cover.patches, s.windows):
+                assert np.array_equal(s.local[p], lattice_module._apply_window(w, 4, s.base))
+        # a collapse stores the new base; the measured patch reads U_p U_p^dag collapsed
+        assert measured.frame_stack is stepped.frame_stack and measured.base is not stepped.base
+        z3 = pauli_on("Z", [3], Patch((2, 3)))
+        assert abs(measured.local_expectation(Patch((2, 3)), z3) - 1.0) < 1e-12
+        # a dressing or a clock change keeps base and the frames, and the read-out with them
+        frame_change = GaugeTransform({Patch((0, 1)): random_unitary(4, rng)})
+        moved = gauge_transform(stepped._replace(time=1.0), frame_change)
+        assert moved.local is stepped.local and moved.frame_stack is stepped.frame_stack
+
     def test_diagnostics_is_defined_once(self):
         assert "diagnostics" in vars(GaugeState)
         assert "diagnostics" not in vars(GeneratorState)
@@ -1744,7 +1790,9 @@ class TestModeClasses:
         frame_change = GaugeTransform({Patch((1, 2)): random_unitary(4, rng)})
         layer = {Patch((0, 1)): random_unitary(4, rng)}
         calls = [
-            lambda s: step(s, h, IntegratorConfig(dt=1e-3, reunitarize_every=1, renormalize=True)),
+            lambda s: step(
+                s, h, IntegratorConfig(dt=1e-3, reunitarize_every=1, renormalize=mode == DIRECT)
+            ),
             lambda s: gauge_transform(s, frame_change),
             lambda s: apply_commuting_layer(s, layer),
             lambda s: apply_measurement(s, site_projectors(Patch((2, 3)), 3), outcome=0)[0],

@@ -99,12 +99,12 @@ class TestProbabilities:
             measurement_probabilities(state, KrausSet(Patch((0, 1)), [0.5 * np.eye(4)]))
 
     def test_inconsistent_state_raises(self, evolved):
-        _, _, state, _ = evolved
-        bad_psi = dict(state.local)
-        first = state.cover.patches[0]
-        v = bad_psi[first] + 0.2
-        bad_psi[first] = v / np.linalg.norm(v)
-        broken = state._replace(local=bad_psi)
+        h, psi0, _, _ = evolved
+        state = init_gauge_state(psi0, h.cover, mode=DIRECT, hamiltonian=h)
+        packed = state.packed.copy()
+        packed[0, 0] += 0.2  # the first patch's psi row, out of step with its connections
+        packed[0] /= np.linalg.norm(packed[0])
+        broken = state._replace(packed=packed)
         with pytest.raises(ContractError):
             measurement_probabilities(broken, site_projectors(Patch((0, 1)), 0))
 

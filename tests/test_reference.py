@@ -257,6 +257,18 @@ class TestInteractionReference:
         ref = interaction_reference(h, Patch((1, 2)), plus_state(4), 0.3)
         assert np.abs((ref.h0 + ref.h1) - h.total()).max() < 1e-13
 
+    def test_time_dependent_free_propagator_is_the_complement(self):
+        # the RK4 branch: u0 integrates H(t) minus the patch's neighborhood
+        h = driven_tfim(3, lambda t: 1.0 + 0.3 * np.cos(t))
+        psi0 = plus_state(3)
+        patch = Patch((1, 2))
+        ref = interaction_reference(h, patch, psi0, 0.5, dt=1e-3)
+        bundle = reference_gauge_state(h, h.cover, psi0, 0.5, dt=1e-3)
+        complement = bundle.complements[patch]
+        assert frobenius_distance(ref.u0, complement) < 1e-12
+        want = complement.conj().T @ bundle.psi_schrodinger
+        assert np.linalg.norm(ref.psi_interaction - want) < 1e-12
+
     def test_patch_not_in_cover_raises(self):
         h = tfim_chain(4)
         with pytest.raises(ContractError):
