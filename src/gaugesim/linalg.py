@@ -102,7 +102,8 @@ def polar_unitary(m, tol: float = 1e-12, max_iter: int = 100) -> np.ndarray:
     final iterate, read from that iterate's own Gram, must then be at most
     max(tol, 1e-12 * D). `m` is one matrix or a (..., D, D) stack; each
     matrix iterates on its own, so it ends exactly where a call on it alone
-    would. `m` is never written.
+    would, and the first matrix that fails raises the error a call on it
+    alone would. `m` is never written.
     """
     x = np.asarray(m, dtype=np.complex128)
     if x.ndim < 2 or x.shape[-1] != x.shape[-2]:
@@ -118,7 +119,6 @@ def polar_unitary(m, tol: float = 1e-12, max_iter: int = 100) -> np.ndarray:
     # than being trimmed and faulted in again (at n = 7, direct mode took 3x
     # the page faults per step with two separate D x D scratch arrays).
     err, update = np.empty((2, dim, dim), dtype=np.complex128)
-    worst = 0.0
     for u in out:
         for updates in range(max_iter + 1):
             np.matmul(u.conj().T, u, out=err)
@@ -137,9 +137,8 @@ def polar_unitary(m, tol: float = 1e-12, max_iter: int = 100) -> np.ndarray:
             update *= 0.5
             moved = np.max(np.abs(update))
             u += update
-        worst = max(worst, defect)
-    if worst > max(tol, 1e-12 * dim):
-        raise ContractError(f"polar_unitary did not converge (defect {worst:.3e})")
+        if defect > max(tol, 1e-12 * dim):
+            raise ContractError(f"polar_unitary did not converge (defect {defect:.3e})")
     return out.reshape(x.shape)
 
 

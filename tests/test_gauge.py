@@ -1611,6 +1611,20 @@ class TestDiagnostics:
         assert abs(after.consistency - before.consistency) <= 1e-12
         assert before.cocycle < 1e-6 < 1e-2 < after.cocycle
 
+    @pytest.mark.parametrize("mode, products", [(GENERATOR, 8), (DIRECT, 0)])
+    def test_a_chain_cover_multiplies_no_chain_its_walk_repeats(self, monkeypatch, mode, products):
+        # in direct mode the connection (i, k) of a chain i ~ j ~ k is the walk c_ij c_jk itself;
+        # in generator mode each of the 2 chains takes 3 frame products and 1 chain product
+        h = heisenberg_chain(5)
+        state = init_gauge_state(plus_state(5), h.cover, mode=mode, hamiltonian=h)
+        state = evolve(state, h, 0.05, IntegratorConfig(dt=0.01, reunitarize_every=0))
+        calls = []
+        mul = gauge_module._mul
+        monkeypatch.setattr(gauge_module, "_mul", lambda a, b: calls.append(1) or mul(a, b))
+        cocycle = state.diagnostics().cocycle
+        assert len(calls) == products
+        assert (cocycle == 0.0) == (mode == DIRECT)
+
     def test_direct_mode_on_an_unlinked_pair_graph(self):
         # single-site patches store no pairs: the pair graph has no edge, chain or loop
         state = init_gauge_state(plus_state(3), single_site_cover(3), mode=DIRECT)

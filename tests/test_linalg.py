@@ -154,6 +154,19 @@ class TestPolarUnitary:
         polar_unitary(stack)
         assert np.array_equal(stack, before)
 
+    def test_stack_raises_the_error_of_its_first_failing_matrix(self):
+        # the first failing matrix is nearer to unitary than the one after it
+        rng = np.random.default_rng(6)
+        near = random_unitary(8, rng) + 0.05 * rng.standard_normal((8, 8))
+        far = 5.0 * (rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
+        stack = np.array([random_unitary(8, rng), near, far])
+        messages = []
+        for m in (stack, near):
+            with pytest.raises(ContractError, match="did not converge") as info:
+                polar_unitary(m, max_iter=1)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
     def test_singular_member_of_stack_raises(self):
         with pytest.raises(ContractError):
             polar_unitary(np.array([np.eye(3), np.zeros((3, 3))]))
