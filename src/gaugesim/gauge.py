@@ -25,9 +25,12 @@ per-patch factor D_I (the dressing) that the read-outs `psi`, `frames`,
 `connection(s)` and `effective_hamiltonian` apply; nothing else reads it.
 
 Within a step, every per-patch derivative reads the same frozen stage
-snapshot and writes only its own slot, so evaluation order is immaterial:
-`_each` runs them, and each matrix of the polar step, on every usable core
-when BLAS is pinned (see `_WORKERS`). States are never mutated in place and
+snapshot and writes only its own slot, so evaluation order is immaterial.
+In generator mode `_each` runs them, and each matrix of the polar step, on
+every usable core when BLAS is pinned (see `_WORKERS`). A direct-mode step
+stays on the calling thread: on a 2-core VM whose host was busy, Heisenberg
+n = 7 runs on 2 workers ranged over 12-27 steps/s while serial runs, taken
+in turn with them, ranged over 15-19. States are never mutated in place and
 observable queries are read-only.
 """
 
@@ -551,34 +554,27 @@ class DirectState(GaugeState):
         keys = state.keys
 
         def rhs(t: float, y: np.ndarray, out: np.ndarray) -> None:
-            # on `_each`: the neighbourhoods with their dpsi, then the links
+            # on the calling thread, not `_each` (see the module docstring)
             psi, conns = _unpacked(y, count)
             dpsi, dconns = _unpacked(out, count)
             conn = functools.partial(_oriented, dict(zip(keys, conns)))
-            h_eff: list[np.ndarray | None] = [None] * count
-
-            def patch(i: int) -> None:
-                h = h_eff[i] = _neighborhood(plan, self.n_sites, i, t, conn)
-                np.matmul(h, psi[i], out=dpsi[i])
-                dpsi[i] *= -1j
-
-            def link(m: int) -> None:
-                (i, j), c, dc = keys[m], conns[m], dconns[m]
+            h_eff = [_neighborhood(plan, self.n_sites, i, t, conn) for i in range(count)]
+            for h, v, dv in zip(h_eff, psi, dpsi):
+                np.matmul(h, v, out=dv)
+                dv *= -1j
+            for (i, j), c, dc in zip(keys, conns, dconns):
                 np.matmul(h_eff[i], c, out=dc)
                 dc *= -1j
                 ch = c @ h_eff[j]
-                ch *= 1j  # in place: one D x D temporary per task, not two
+                ch *= 1j  # in place: one D x D temporary per link, not two
                 dc += ch
-
-            _each(count, patch, self.dim)
-            _each(len(keys), link, self.dim)
 
         with np.errstate(invalid="ignore", over="ignore"):
             y = rk4_step(state.packed, self.time, config.dt, rhs)
         _require_finite(y, t_next, new_steps)
         psi, conns = _unpacked(y, count)
         if reunitarize:
-            _reunitarize(conns, t_next, new_steps)
+            _reunitarize(conns, t_next, new_steps, parallel=False)
         if config.renormalize:
             for v in psi:
                 v /= np.linalg.norm(v)
@@ -937,20 +933,21 @@ def step(
     return state._step(hml.step_plan(state.cover), config, reunitarize)
 
 
-def _reunitarize(mats: np.ndarray, time: float, steps: int) -> None:
+def _reunitarize(mats: np.ndarray, time: float, steps: int, parallel: bool = True) -> None:
     """Polar re-unitarization of a (C, D, D) stack in place; a failure there means
     the integration has diverged.
 
-    Each matrix is one `_each` task, except below `_PARALLEL_DIM`, where one
-    call takes the stack and saves a call's overhead per matrix: a stack
-    gives the bits, and raises the error, of its matrices one at a time.
+    Each matrix is one `_each` task, except below `_PARALLEL_DIM` or when not
+    `parallel`, where one call takes the stack and saves a call's overhead
+    per matrix: a stack gives the bits, and raises the error, of its matrices
+    one at a time.
     """
 
     def polar(i: int) -> None:
         mats[i] = polar_unitary(mats[i])
 
     try:
-        if mats.shape[-1] < _PARALLEL_DIM:
+        if not parallel or mats.shape[-1] < _PARALLEL_DIM:
             mats[...] = polar_unitary(mats)
         else:
             _each(len(mats), polar, mats.shape[-1])

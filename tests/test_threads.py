@@ -1,9 +1,10 @@
 """The thread contract of `gauge._each`, the patch-parallel executor.
 
-A step's per-patch tasks, and the matrices of its polar step, run on
-`gauge._WORKERS` threads: usable cores // pinned BLAS threads, and 1 when
-the BLAS thread count is not pinned. The results do not depend on the worker
-count, bit for bit. Tests set the count by patching `_WORKERS`.
+A generator-mode step's per-patch tasks, and the matrices of its polar
+step, run on `gauge._WORKERS` threads: usable cores // pinned BLAS threads,
+and 1 when the BLAS thread count is not pinned. A direct-mode step stays on
+the calling thread. The results do not depend on the worker count, bit for
+bit. Tests set the count by patching `_WORKERS`.
 """
 
 import functools
@@ -20,7 +21,7 @@ import pytest
 
 import gaugesim.gauge as gauge_module
 from gaugesim.errors import DivergenceError
-from gaugesim.gauge import GENERATOR, MODES, IntegratorConfig, evolve, init_gauge_state, step
+from gaugesim.gauge import DIRECT, GENERATOR, MODES, IntegratorConfig, evolve, init_gauge_state, step
 from gaugesim.hamiltonian import heisenberg_chain, tfim_chain
 from gaugesim.linalg import polar_unitary
 
@@ -95,6 +96,17 @@ def test_workers_are_cores_over_blas_threads(monkeypatch, environ, workers):
         monkeypatch.setenv(var, value)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     assert gauge_module._default_workers() == workers
+
+
+def test_direct_mode_steps_on_the_calling_thread(monkeypatch):
+    n = 7
+    h = heisenberg_chain(n)
+    monkeypatch.setattr(gauge_module, "_WORKERS", 2)
+    posted = []
+    monkeypatch.setattr(gauge_module._Pool, "post", lambda self, job, helpers: posted.append(helpers))
+    state = init_gauge_state(plus_state(n), h.cover, mode=DIRECT, hamiltonian=h)
+    step(state, h, IntegratorConfig(dt=1e-3, reunitarize_every=1))  # the RHS and the polar step
+    assert posted == []
 
 
 def test_small_matrices_stay_on_the_calling_thread(monkeypatch):
