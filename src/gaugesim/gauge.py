@@ -24,14 +24,23 @@ Schroedinger operator A is A itself. A gauge transform only multiplies the
 per-patch factor D_I (the dressing) that the read-outs `psi`, `frames`,
 `connection(s)` and `effective_hamiltonian` apply; nothing else reads it.
 
-Within a step, every per-patch derivative reads the same frozen stage
-snapshot and writes only its own slot, so evaluation order is immaterial.
-In generator mode `_each` runs them, and each matrix of the polar step, on
-every usable core when BLAS is pinned (see `_WORKERS`). A direct-mode step
-stays on the calling thread: on a 2-core VM whose host was busy, Heisenberg
-n = 7 runs on 2 workers ranged over 12-27 steps/s while serial runs, taken
-in turn with them, ranged over 15-19. States are never mutated in place and
-observable queries are read-only.
+The equations of motion are local: patch I's slope reads only the products
+of the terms touching I, and each product only the frames its factors sit
+on. So a generator-mode step is one `_each` job (`_rk4_frames`), run on
+every usable core when BLAS is pinned (see `_WORKERS`). Stage by stage it
+forms the products, then the frame slopes; each task waits only for the
+tasks it reads (`_rk4_waits`), not for a barrier across patches. A frame
+task folds its slope into the step itself, and at the last stage checks and
+re-unitarizes its own frame. A slice is one patch, or the whole stack for
+D < `_PARALLEL_DIM`, where the job runs in order and a stage's last frame
+updates every patch at once. On a 2-core VM with one BLAS thread, a TFIM
+n = 7 step took 16.6-20.3 ms on 2 workers, against 20.3-23.9 ms with the
+former 9 joins per step, and voluntary context switches per step fell from
+52-65 to 39-45 (`getrusage`); on 1 worker both took 28-33 ms. A direct-mode
+step stays on the calling thread: on a 2-core VM whose host was busy,
+Heisenberg n = 7 runs on 2 workers ranged over 12-27 steps/s while serial
+runs, taken in turn with them, ranged over 15-19. States are never mutated
+in place and observable queries are read-only.
 """
 
 from __future__ import annotations
@@ -50,7 +59,7 @@ import numpy as np
 
 from .errors import ContractError, DivergenceError
 from .hamiltonian import LocalHamiltonian, StepPlan
-from .integrate import rk4_step, time_grid
+from .integrate import rk4_step, rk4_times, rk4_update, time_grid
 from .lattice import (
     _IDENTITY,
     Patch,
@@ -397,12 +406,14 @@ class GeneratorState(GaugeState):
             raise ContractError("renormalize is a direct-mode option")
         t_next = self.time + config.dt
         new_steps = self.steps + 1
+
+        def finish(frames: np.ndarray) -> None:  # the new frames of one slice
+            _require_finite(frames, t_next, new_steps)
+            if reunitarize:
+                _reunitarize(frames, t_next, new_steps)
+
         with np.errstate(invalid="ignore", over="ignore"):
-            rhs = functools.partial(_frame_rhs, plan, self.n_sites)
-            frames = rk4_step(self.frame_stack, self.time, config.dt, rhs)
-        _require_finite(frames, t_next, new_steps)
-        if reunitarize:
-            _reunitarize(frames, t_next, new_steps)
+            frames = _rk4_frames(plan, self.n_sites, self.frame_stack, self.time, config.dt, finish)
         return self._replace(time=t_next, steps=new_steps, frame_stack=frames)
 
     def _layered(self, gates: dict[Patch, np.ndarray]) -> "GeneratorState":
@@ -515,7 +526,7 @@ class DirectState(GaugeState):
                 "are not linked by any chain of stored connections"
             )
         path = _tree_path(parent, i, j)
-        return [_oriented(self.links, u, v) for u, v in zip(path, path[1:])]
+        return [_oriented(self.links, u, v)[0] for u, v in zip(path, path[1:])]
 
     def _connection(self, i: int, j: int) -> Window:
         """The stored connections multiplied along the walk, as a window spanning the chain."""
@@ -574,7 +585,7 @@ class DirectState(GaugeState):
         _require_finite(y, t_next, new_steps)
         psi, conns = _unpacked(y, count)
         if reunitarize:
-            _reunitarize(conns, t_next, new_steps, parallel=False)
+            _reunitarize(conns, t_next, new_steps)
         if config.renormalize:
             for v in psi:
                 v /= np.linalg.norm(v)
@@ -647,10 +658,15 @@ def _unpacked(packed: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
     return packed[:count], packed[count:].reshape(-1, dim, dim)
 
 
-def _oriented(stored: Mapping[tuple[int, int], np.ndarray], i: int, j: int) -> np.ndarray:
-    """The connection from patch j to patch i, given those stored under (i, j), i < j."""
-    c = stored[(min(i, j), max(i, j))]
-    return c if i < j else c.conj().T
+def _oriented(
+    stored: Mapping[tuple[int, int], np.ndarray], i: int, j: int
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The connection from patch j to patch i, given those stored under (i, j), i < j,
+    and its adjoint where that is stored: c_ij and None, or conj(c_ji).T and c_ji."""
+    if i < j:
+        return stored[(i, j)], None
+    c = stored[(j, i)]
+    return c.conj().T, c
 
 
 def _dressed(m: np.ndarray, left: np.ndarray | None, right: np.ndarray | None = None) -> np.ndarray:
@@ -698,29 +714,41 @@ def init_gauge_state(
 # ---------------------------------------------------------------------------
 
 
-def _conjugated(op: np.ndarray, patch: Patch, n: int, c: np.ndarray | None) -> np.ndarray:
-    """c embed(op) c^dag, forming embed(op) only where c is None (the identity)."""
+def _conjugated(
+    op: np.ndarray, patch: Patch, n: int, c: np.ndarray | None, c_dag: np.ndarray | None = None
+) -> np.ndarray:
+    """c embed(op) c^dag, forming embed(op) only where c is None (the identity).
+
+    c_dag, if given, is c^dag as a C-ordered array; else it is formed as one
+    C-ordered copy, which apply_local reshapes without another.
+    """
     if c is None:
         return embed_operator(op, patch, n)
-    # c^dag as one C-ordered copy, which apply_local reshapes without another
-    return c @ apply_local(op, patch, n, np.conjugate(c.T, order="C"))
+    if c_dag is None:
+        c_dag = np.conjugate(c.T, order="C")
+    return c @ apply_local(op, patch, n, c_dag)
 
 
 def _neighborhood(
-    plan: StepPlan, n: int, i: int, t: float, conn: Callable[[int, int], np.ndarray]
+    plan: StepPlan,
+    n: int,
+    i: int,
+    t: float,
+    conn: Callable[[int, int], tuple[np.ndarray, np.ndarray | None]],
 ) -> np.ndarray:
     """Products touching patch i at time t, transported into its frame.
 
-    `conn(i, j)` is the connection from patch j to patch i (j != i); a factor
-    placed on patch j enters as c @ f @ c^dag.
+    `conn(i, j)` is the connection c from patch j to patch i (j != i), with
+    c^dag as a C-ordered array or None (see `_conjugated`); a factor placed
+    on patch j enters as c @ f @ c^dag.
     """
     patches = plan.patches
     out = np.zeros((2**n, 2**n), dtype=np.complex128)
     for k in plan.touching[i]:
         prod = None
         for j, fac in plan.products[k]:
-            c = None if j == i else conn(i, j)
-            w = _conjugated(fac, patches[j], n, c)
+            c, c_dag = (None, None) if j == i else conn(i, j)
+            w = _conjugated(fac, patches[j], n, c, c_dag)
             prod = w if prod is None else prod @ w
         coef = plan.coefficients[k]
         out += prod if coef is None else coef(t) * prod
@@ -742,7 +770,11 @@ def effective_hamiltonian(
     if patch not in state.cover:
         raise ContractError(f"{patch} is not a patch of the cover")
     plan, i, n = hml.step_plan(state.cover), state.cover.index(patch), state.n_sites
-    h = _neighborhood(plan, n, i, state.time, lambda a, b: _lift(state._connection(a, b), 0, n - 1))
+
+    def lifted(a: int, b: int) -> tuple[np.ndarray, None]:
+        return _lift(state._connection(a, b), 0, n - 1), None
+
+    h = _neighborhood(plan, n, i, state.time, lifted)
     d = state.dressing_of(patch)
     return _dressed(h, d, d)
 
@@ -778,15 +810,25 @@ _PARALLEL_DIM = 128
 
 
 class _Job:
-    """The tasks of one `_each` call, pulled by index from one shared counter."""
+    """The tasks of one `_each` call, pulled by index from one shared counter.
 
-    def __init__(self, count: int, task: Callable[[int], None]):
-        self.count, self.task = count, task
+    Task i first waits for the tasks `waits(i)` names, all below i, so the
+    lowest task pulled but not ended can always run and the job cannot stall.
+    A task that fails or is skipped ends like one that ran.
+    """
+
+    def __init__(
+        self, count: int, task: Callable[[int], None], waits: Callable[[int], Iterable[int]] | None
+    ):
+        self.count, self.task, self.waits = count, task, waits
         self.lock = threading.Lock()
         self.pulled = 0  # the next index to hand out
         self.finished = 0  # indices run or skipped
         self.lowest = count  # the lowest failing index so far, and its error
         self.error: BaseException | None = None
+        self.running = [threading.Lock() for _ in range(count)]  # each held until its task ends
+        for lock in self.running:
+            lock.acquire()
         self.done = threading.Event()
 
     def pull(self) -> None:
@@ -795,16 +837,19 @@ class _Job:
             with self.lock:
                 i = self.pulled
                 self.pulled += 1
-                skip = i > self.lowest
             if i >= self.count:
                 return
-            if not skip:
-                try:
+            try:
+                for j in self.waits(i) if self.waits else ():
+                    with self.running[j]:  # taken once task j has ended (an Event costs more)
+                        pass
+                if i < self.lowest:  # read after the waits: a failed dependency is seen
                     self.task(i)
-                except BaseException as exc:  # re-raised by the caller once all have finished
-                    with self.lock:
-                        if i < self.lowest:
-                            self.lowest, self.error = i, exc
+            except BaseException as exc:  # re-raised by the caller once all have finished
+                with self.lock:
+                    if i < self.lowest:
+                        self.lowest, self.error = i, exc
+            self.running[i].release()
             with self.lock:
                 self.finished += 1
                 if self.finished == self.count:
@@ -849,23 +894,31 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _each(count: int, task: Callable[[int], None], dim: int) -> None:
+def _each(
+    count: int,
+    task: Callable[[int], None],
+    dim: int,
+    waits: Callable[[int], Iterable[int]] | None = None,
+) -> None:
     """task(i) for every i in range(count), on up to `_WORKERS` threads.
 
-    Each task must write only to slots of its own. The calling thread and
-    the pool's helpers pull indices from one counter, so a slow task does not
-    hold up the others. Tasks on D x D matrices with D < `_PARALLEL_DIM`, and
-    every task when `_WORKERS` is 1, run here in index order. If tasks fail,
-    the rest still finish (those past a failed index may be skipped), and the
-    error of the lowest failing index is raised, the one the serial order
-    raises.
+    Each task must write only to slots of its own, and task i reads only
+    what the tasks waits(i) wrote, all of them below i (nothing without
+    waits). The calling thread and the pool's helpers pull indices from one
+    counter, so a slow task does not hold up the others, and a task waits
+    only for the ones it reads. Tasks on D x D matrices with D <
+    `_PARALLEL_DIM`, and every task when `_WORKERS` is 1, run here in index
+    order, which meets every wait without one. If
+    tasks fail, the rest still finish (those past a failed index may be
+    skipped, and so is every one waiting on a failed task), and the error of
+    the lowest failing index is raised, the one the serial order raises.
     """
     workers = min(_WORKERS, count) if dim >= _PARALLEL_DIM else 1
     if workers <= 1:
         for i in range(count):
             task(i)
         return
-    job = _Job(count, task)
+    job = _Job(count, task, waits)
     _pool.post(job, workers - 1)
     job.pull()
     job.done.wait()
@@ -879,39 +932,117 @@ def _each(count: int, task: Callable[[int], None], dim: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _frame_rhs(plan: StepPlan, n: int, t: float, frames: np.ndarray, dframes: np.ndarray) -> None:
-    """Write dU/dt for the (P, D, D) frame stack into dframes: dU_I = -i U_I R_I, where
+def _rk4_frames(
+    plan: StepPlan,
+    n: int,
+    y: np.ndarray,
+    t: float,
+    dt: float,
+    finish: Callable[[np.ndarray], None],
+) -> np.ndarray:
+    """One RK4 step of dt from the (P, D, D) frame stack y, for dU_I/dt = -i U_I R_I with
 
-    R_I = sum_(products k touching I) c_k(t) prod_(J, f) U_J^dag f U_J
+    R_I = sum_(products q touching I) c_q(t) prod_(J, f) U_J^dag f U_J
 
-    over the plan's placed factors (J, f) of each product. Each product is
-    formed once and shared by all patches it touches. The products, then the
-    frame products, run on `_each`.
+    over the plan's placed factors (J, f) of each product; returns the new stack.
+
+    The step is one job of tasks. Per stage it forms each product once,
+    shared by the patches it touches, into one (K, D, D) buffer, then each
+    frame's slope -i U_I R_I; a frame task then applies `rk4_update` to its
+    slice and, at the last stage, calls finish on the slice's new frames. A
+    slice is one patch, and the job one `_each` call; or, where D <
+    `_PARALLEL_DIM`, the whole stack: the tasks then run in order on this
+    thread, and the last frame of a stage updates every patch in one call
+    per operation. On one worker at larger D the
+    slices stay one patch, so that finish (the polar step) copies one
+    matrix at a time rather than the stack. The task waits (`_rk4_waits`)
+    let one product buffer serve every stage.
     """
-    patches, dim = plan.patches, frames.shape[-1]
-    products: list[np.ndarray | None] = [None] * len(plan.products)
+    count, dim = len(y), y.shape[-1]
+    patches, touching = plan.patches, plan.touching
+    n_prod = len(plan.products)
+    width = n_prod + count  # tasks per stage: the products, then the frames
+    whole = dim < _PARALLEL_DIM
+    times = rk4_times(t, dt)
+    acc = np.empty_like(y)  # the running sum, then the new frames
+    # the stage inputs, the products and, for whole-stack slices, the slopes;
+    # a one-patch slice's slope is its task's own matrix, so no stack of them is alive
+    scratch = np.empty(((2 if whole else 1) * count + n_prod, dim, dim), dtype=y.dtype)
+    x, products, k = scratch[:count], scratch[count : count + n_prod], scratch[count + n_prod :]
 
-    def product(k: int) -> None:
-        prod = None
-        for j, fac in plan.products[k]:
+    def product(s: int, q: int) -> None:
+        frames = x if s else y
+        factors, coef, slot = plan.products[q], plan.coefficients[q], products[q]
+        last = len(factors) - 1
+        for m, (j, fac) in enumerate(factors):
             u = frames[j]
-            w = u.conj().T @ apply_local(fac, patches[j], n, u)
-            prod = w if prod is None else prod @ w
-        coef = plan.coefficients[k]
-        products[k] = prod if coef is None else coef(t) * prod
+            into = slot if m == last and coef is None else None
+            w = np.matmul(u.conj().T, apply_local(fac, patches[j], n, u), out=None if m else into)
+            prod = w if m == 0 else np.matmul(prod, w, out=into)
+        if coef is not None:
+            np.multiply(coef(times[s]), prod, out=slot)
 
-    def frame(i: int) -> None:
+    def frame(s: int, i: int) -> None:
         r = None
-        for k in plan.touching[i]:
-            r = products[k] if r is None else r + products[k]
+        for q in touching[i]:
+            r = products[q] if r is None else r + products[q]
+        slope = k[i] if whole else np.empty((dim, dim), dtype=y.dtype)
         if r is None:
-            dframes[i] = 0.0
+            slope[...] = 0.0
         else:
-            np.matmul(frames[i], r, out=dframes[i])
-            dframes[i] *= -1j  # while the product is still in cache
+            np.matmul(x[i] if s else y[i], r, out=slope)
+            slope *= -1j  # while the product is still in cache
+        if whole and i < count - 1:
+            return
+        part = slice(None) if whole else slice(i, i + 1)
+        rk4_update(s, dt, y[part], acc[part], x[part], k if whole else slope[None])
+        if s == 3:
+            finish(acc[part])
 
-    _each(len(products), product, dim)
-    _each(len(plan.touching), frame, dim)
+    if whole:  # the job's index order, without a call per task to dispatch it
+        for s in range(4):
+            for q in range(n_prod):
+                product(s, q)
+            for i in range(count):
+                frame(s, i)
+        return acc
+
+    def task(index: int) -> None:
+        s, r = divmod(index, width)
+        if r < n_prod:
+            product(s, r)
+        else:
+            frame(s, r - n_prod)
+
+    _each(4 * width, task, dim, _rk4_waits(touching, n_prod))
+    return acc
+
+
+def _rk4_waits(touching: Sequence[Sequence[int]], n_prod: int) -> Callable[[int], list[int]]:
+    """The tasks each task of `_rk4_frames`'s job reads, by index.
+
+    Per stage the job holds the n_prod products, then one frame task per
+    patch; touching[i] lists the products frame i reads. Frame i at stage s
+    waits for those products at stage s and for itself at stage s - 1.
+    Product q at stage s > 0 waits for the stage-(s - 1) frames that read
+    q: they include the frames that write the stage inputs of q's factor
+    patches (a product touches the patches its factors sit on), and they
+    are the last readers of q's slot before it is overwritten.
+    """
+    width = n_prod + len(touching)
+    readers: list[list[int]] = [[] for _ in range(n_prod)]
+    for i, near in enumerate(touching):
+        for q in near:
+            readers[q].append(i)
+
+    def waits(index: int) -> list[int]:
+        s, r = divmod(index, width)
+        if r < n_prod:
+            earlier = (s - 1) * width + n_prod  # the first frame of the stage before
+            return [earlier + i for i in readers[r]] if s else []
+        return [s * width + q for q in touching[r - n_prod]] + ([index - width] if s else [])
+
+    return waits
 
 
 def _require_finite(a: np.ndarray, time: float, steps: int) -> None:
@@ -933,24 +1064,12 @@ def step(
     return state._step(hml.step_plan(state.cover), config, reunitarize)
 
 
-def _reunitarize(mats: np.ndarray, time: float, steps: int, parallel: bool = True) -> None:
-    """Polar re-unitarization of a (C, D, D) stack in place; a failure there means
-    the integration has diverged.
-
-    Each matrix is one `_each` task, except below `_PARALLEL_DIM` or when not
-    `parallel`, where one call takes the stack and saves a call's overhead
-    per matrix: a stack gives the bits, and raises the error, of its matrices
-    one at a time.
-    """
-
-    def polar(i: int) -> None:
-        mats[i] = polar_unitary(mats[i])
-
+def _reunitarize(mats: np.ndarray, time: float, steps: int) -> None:
+    """Polar re-unitarization of a (C, D, D) stack in place, in one call (a stack
+    gives the bits, and raises the error, of its matrices one at a time); a
+    failure there means the integration has diverged."""
     try:
-        if not parallel or mats.shape[-1] < _PARALLEL_DIM:
-            mats[...] = polar_unitary(mats)
-        else:
-            _each(len(mats), polar, mats.shape[-1])
+        mats[...] = polar_unitary(mats)
     except ContractError as exc:
         raise DivergenceError(
             f"re-unitarization failed at t={time:.6g}, step {steps} ({exc}); reduce dt"

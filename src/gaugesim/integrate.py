@@ -11,28 +11,57 @@ from .errors import ContractError
 Deriv = Callable[[float, np.ndarray, np.ndarray], None]
 
 
+def rk4_times(t: float, dt: float) -> tuple[float, float, float, float]:
+    """The times of the four slopes of a step of dt from t."""
+    return t, t + 0.5 * dt, t + 0.5 * dt, t + dt
+
+
+def rk4_update(
+    s: int,
+    dt: float,
+    y: np.ndarray,
+    acc: np.ndarray,
+    x: np.ndarray,
+    k: np.ndarray,
+    out: np.ndarray | None = None,
+) -> None:
+    """Fold slope s (0-3) of a step of dt from y, held in k, into the step.
+
+    The slopes enter the running sum `acc` as k1 + 2 k2 + 2 k3 + k4, in that
+    order (k is doubled in place for the middle two), and each but the last
+    sets the next slope's input x = y + h k. The last writes the new value
+    y + dt/6 acc into `out`, or into `acc` itself. The arithmetic is
+    elementwise, so the arguments may be any one slice of the step's arrays,
+    the same bits either way.
+    """
+    if s == 3:
+        acc += k
+        out = acc if out is None else out
+        np.multiply(dt / 6.0, acc, out=out)
+        out += y
+        return
+    np.multiply(k, dt if s == 2 else 0.5 * dt, out=x)
+    x += y
+    if s == 0:
+        np.copyto(acc, k)
+    else:
+        k *= 2.0
+        acc += k
+
+
 def rk4_step(y: np.ndarray, t: float, dt: float, deriv: Deriv) -> np.ndarray:
     """One classical Runge-Kutta step for y' = f(t, y); returns a fresh array.
 
     `deriv(t, y, out)` writes f(t, y) into `out` and must overwrite every
     element. The step works in one (3,) + y.shape scratch block holding the
-    running sum, the stage input and the slope, and sums the slopes in place
-    as k1 + 2 k2 + 2 k3 + k4, in that order. `y` is never written.
+    running sum, the stage input and the slope (see `rk4_update`), and
+    allocates the result after the last slope. `y` is never written.
     """
-    acc, stage, k = np.empty((3,) + y.shape, dtype=y.dtype)
-    deriv(t, y, k)
-    np.copyto(acc, k)
-    stages = ((0.5 * dt, t + 0.5 * dt), (0.5 * dt, t + 0.5 * dt), (dt, t + dt))
-    for m, (h, t_stage) in enumerate(stages):
-        np.multiply(k, h, out=stage)  # y + h k from the slope just computed
-        stage += y
-        if m:  # k2 and k3 enter the sum twice
-            k *= 2.0
-            acc += k
-        deriv(t_stage, stage, k)
-    acc += k
-    out = (dt / 6.0) * acc
-    out += y
+    acc, x, k = np.empty((3,) + y.shape, dtype=y.dtype)
+    for s, t_stage in enumerate(rk4_times(t, dt)):
+        deriv(t_stage, x if s else y, k)
+        out = np.empty_like(y) if s == 3 else None
+        rk4_update(s, dt, y, acc, x, k, out)
     return out
 
 

@@ -164,6 +164,53 @@ def eager_layer_frames(state, gates):
     return frames
 
 
+def eager_generator_frames(hml, steps, dt, reunitarize_every):
+    """Generator-mode frames after `steps` RK4 steps of dt from t = 0, by the eager formula.
+
+    Each slope forms every product of the plan at once, then every frame's
+    -i U_I R_I; each step is the textbook RK4 combination of four such
+    slopes, followed by `polar_unitary` of the whole stack every
+    `reunitarize_every` steps. This keeps the package's `apply_local` and
+    the same matrix products and sums in the same order, so results agree bit
+    for bit.
+    """
+    from gaugesim.lattice import apply_local
+    from gaugesim.linalg import polar_unitary
+
+    cover = hml.cover
+    plan, n = hml.step_plan(cover), cover.n_sites
+
+    def slope(t, frames):
+        products = []
+        for placed, coef in zip(plan.products, plan.coefficients):
+            prod = None
+            for j, fac in placed:
+                u = frames[j]
+                w = u.conj().T @ apply_local(fac, plan.patches[j], n, u)
+                prod = w if prod is None else prod @ w
+            products.append(prod if coef is None else coef(t) * prod)
+        out = np.zeros_like(frames)
+        for i, near in enumerate(plan.touching):
+            if near:
+                r = products[near[0]]
+                for q in near[1:]:
+                    r = r + products[q]
+                out[i] = (frames[i] @ r) * -1j
+        return out
+
+    y = np.repeat(np.eye(cover.dim, dtype=complex)[None], len(cover), axis=0)
+    for step in range(1, steps + 1):
+        t = (step - 1) * dt
+        k1 = slope(t, y)
+        k2 = slope(t + dt / 2, y + dt / 2 * k1)
+        k3 = slope(t + dt / 2, y + dt / 2 * k2)
+        k4 = slope(t + dt, y + dt * k3)
+        y = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        if reunitarize_every and step % reunitarize_every == 0:
+            y = polar_unitary(y)
+    return y
+
+
 def dense_site_identity_defects(m):
     """Per-site identity defects of M from its four D/2 x D/2 site blocks, on the full matrix."""
     m = np.asarray(m, dtype=complex)

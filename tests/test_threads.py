@@ -1,13 +1,15 @@
 """The thread contract of `gauge._each`, the patch-parallel executor.
 
-A generator-mode step's per-patch tasks, and the matrices of its polar
-step, run on `gauge._WORKERS` threads: usable cores // pinned BLAS threads,
-and 1 when the BLAS thread count is not pinned. A direct-mode step stays on
-the calling thread. The results do not depend on the worker count, bit for
-bit. Tests set the count by patching `_WORKERS`.
+A generator-mode step is one `_each` job of per-patch tasks, each waiting
+only for the tasks it reads, on `gauge._WORKERS` threads: usable cores //
+pinned BLAS threads, and 1 when the BLAS thread count is not pinned. A
+direct-mode step stays on the calling thread. The results do not depend on
+the worker count, bit for bit. Tests set the count by patching `_WORKERS`.
 """
 
+import faulthandler
 import functools
+import math
 import os
 import subprocess
 import sys
@@ -22,10 +24,19 @@ import pytest
 import gaugesim.gauge as gauge_module
 from gaugesim.errors import DivergenceError
 from gaugesim.gauge import DIRECT, GENERATOR, MODES, IntegratorConfig, evolve, init_gauge_state, step
-from gaugesim.hamiltonian import heisenberg_chain, tfim_chain
+from gaugesim.hamiltonian import (
+    PAULI_X,
+    PAULI_Z,
+    GeneralizedTerm,
+    LocalHamiltonian,
+    LocalTerm,
+    heisenberg_chain,
+    tfim_chain,
+)
+from gaugesim.lattice import Patch
 from gaugesim.linalg import polar_unitary
 
-from _oracles import plus_state, random_state
+from _oracles import eager_generator_frames, plus_state, random_state
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -37,6 +48,91 @@ def _model(mode, n):
 
 def _stored(state):
     return state.frame_stack if state.mode == GENERATOR else state.packed
+
+
+def _driven_tfim(n):
+    """TFIM plus a driven XX bond and a three-factor product of ZZ on distant patches."""
+    h = tfim_chain(n)
+    zz = np.kron(PAULI_Z, PAULI_Z)
+    drive = LocalTerm(Patch((1, 2)), 0.3 * np.kron(PAULI_X, PAULI_X), lambda t: math.cos(3.0 * t))
+    far = GeneralizedTerm((Patch((0, 1)), Patch((2, 3)), Patch((n - 2, n - 1))), 0.2, (zz, zz, zz))
+    return LocalHamiltonian(h.cover, h.terms + (drive,), [far])
+
+
+@pytest.mark.parametrize(
+    "n, model, every",
+    [(4, tfim_chain, 1), (4, tfim_chain, 5), (7, tfim_chain, 1), (7, tfim_chain, 5)]
+    + [(7, _driven_tfim, 1), (7, _driven_tfim, 5)]
+    + [(8, tfim_chain, 5)],  # one case at n = 8: it takes 12 s
+)
+def test_generator_frames_match_the_eager_formula_bitwise(monkeypatch, n, model, every):
+    h = model(n)
+    cfg = IntegratorConfig(dt=1e-3, reunitarize_every=every)
+    want = eager_generator_frames(h, 20, cfg.dt, every)
+    for workers in (1, 2, 4):
+        monkeypatch.setattr(gauge_module, "_WORKERS", workers)
+        state = evolve(init_gauge_state(plus_state(n), h.cover), h, 20 * cfg.dt, cfg)
+        assert state.steps == 20
+        assert np.array_equal(state.frame_stack, want), workers
+
+
+@pytest.mark.parametrize("n, posts", [(7, [1]), (4, [])])
+def test_a_generator_step_posts_one_job(monkeypatch, n, posts):
+    h = tfim_chain(n)
+    monkeypatch.setattr(gauge_module, "_WORKERS", 2)
+    posted = []
+    post = gauge_module._Pool.post
+
+    def counted(pool, job, helpers):
+        posted.append(helpers)
+        post(pool, job, helpers)
+
+    monkeypatch.setattr(gauge_module._Pool, "post", counted)
+    cfg = IntegratorConfig(dt=1e-3, reunitarize_every=1)
+    state = step(init_gauge_state(plus_state(n), h.cover), h, cfg)
+    assert posted == posts
+    assert state.steps == 1
+
+
+def test_a_failed_task_ends_the_job_with_the_lowest_error(monkeypatch, capfd):
+    # two driven products raise at their third slope (stage index 2); every
+    # task waiting on them must still end, and the lower product's error wins
+    n = 7
+    h = tfim_chain(n)
+    xx = np.kron(PAULI_X, PAULI_X)
+
+    def failing(label):
+        calls = []
+
+        def coefficient(t):
+            calls.append(t)
+            if len(calls) == 3:
+                raise ValueError(label)
+            return 1.0
+
+        return coefficient
+
+    def driven():  # fresh call counts
+        patches = (h.cover.patches[1], h.cover.patches[4])
+        terms = tuple(LocalTerm(p, 0.1 * xx, failing(p.sites)) for p in patches)
+        return LocalHamiltonian(h.cover, h.terms + terms)
+
+    state = init_gauge_state(plus_state(n), h.cover)
+    cfg = IntegratorConfig(dt=1e-3, reunitarize_every=1)
+    monkeypatch.setattr(gauge_module, "_WORKERS", 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    with capfd.disabled():  # so that the stacks reach the terminal
+        faulthandler.dump_traceback_later(120, exit=True)  # a waiter that hangs ends the run
+        try:
+            for _ in range(10):
+                with pytest.raises(ValueError) as info:
+                    step(state, driven(), cfg)
+                assert info.value.args == ((1, 2),)
+            assert step(state, h, cfg).steps == 1  # the pool still serves the next job
+        finally:
+            faulthandler.cancel_dump_traceback_later()
+            sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("mode", MODES)
