@@ -24,23 +24,22 @@ Schroedinger operator A is A itself. A gauge transform only multiplies the
 per-patch factor D_I (the dressing) that the read-outs `psi`, `frames`,
 `connection(s)` and `effective_hamiltonian` apply; nothing else reads it.
 
-The equations of motion are local: patch I's slope reads only the products
-of the terms touching I, and each product only the frames its factors sit
-on. So a generator-mode step is one `_each` job (`_rk4_frames`), run on
-every usable core when BLAS is pinned (see `_WORKERS`). Stage by stage it
-forms the products, then the frame slopes; each task waits only for the
-tasks it reads (`_rk4_waits`), not for a barrier across patches. A frame
-task folds its slope into the step itself, and at the last stage checks and
-re-unitarizes its own frame. A slice is one patch, or the whole stack for
-D < `_PARALLEL_DIM`, where the job runs in order and a stage's last frame
-updates every patch at once. On a 2-core VM with one BLAS thread, a TFIM
-n = 7 step took 16.6-20.3 ms on 2 workers, against 20.3-23.9 ms with the
-former 9 joins per step, and voluntary context switches per step fell from
-52-65 to 39-45 (`getrusage`); on 1 worker both took 28-33 ms. A direct-mode
-step stays on the calling thread: on a 2-core VM whose host was busy,
-Heisenberg n = 7 runs on 2 workers ranged over 12-27 steps/s while serial
-runs, taken in turn with them, ranged over 15-19. States are never mutated
-in place and observable queries are read-only.
+The equations of motion are local, so an RK4 step is one `_each` job
+(`_rk4_job`), run on every usable core when BLAS is pinned (see
+`_WORKERS`), whose tasks each wait only for the tasks they read, not for a
+barrier across patches. In generator mode (`_rk4_frames`) a stage forms the
+products of the plan, then each frame's slope, which reads only the products
+touching it (`_rk4_waits`). In direct mode a stage forms each patch's dressed
+neighbourhood h_I and slope, then each link's -i (h_I U_IJ - U_IJ h_J); patch
+I waits for itself and the links at I of the stage before, link IJ for
+patches I and J (`_direct_waits`). A task folds its slope into its own slice
+and, at the last stage, checks and re-unitarizes it; for D <
+`_PARALLEL_DIM` the job runs in order and a stage updates the whole array
+at once. On a 2-core VM with one BLAS thread, a TFIM n = 7 step took
+16.6-20.3 ms on 2 workers against 28-33 ms on 1; heis-direct-n7 ran at a
+median 37.7 steps/s (quartiles 34.7-39.9) over 10 benchmark runs against
+25.4 (24.3-27.5) serial, faster in 10 of 10 pairs. States are never
+mutated in place and observable queries are read-only.
 """
 
 from __future__ import annotations
@@ -59,7 +58,7 @@ import numpy as np
 
 from .errors import ContractError, DivergenceError
 from .hamiltonian import LocalHamiltonian, StepPlan
-from .integrate import rk4_step, rk4_times, rk4_update, time_grid
+from .integrate import rk4_step, rk4_times, rk4_update, time_grid  # rk4_step: bench/spans.py wraps it
 from .lattice import (
     _IDENTITY,
     Patch,
@@ -551,7 +550,7 @@ class DirectState(GaugeState):
         return _tree_path(self._walk(path[0]), path[0], path[-1]) == path
 
     def _step(self, plan: StepPlan, config: IntegratorConfig, reunitarize: bool) -> "DirectState":
-        count = len(plan.patches)
+        count, dim, n = len(plan.patches), self.dim, self.n_sites
         t_next = self.time + config.dt
         new_steps = self.steps + 1
         state = self
@@ -562,34 +561,43 @@ class DirectState(GaugeState):
                     "Hamiltonian; initialize with init_gauge_state(..., hamiltonian=...)"
                 )
             state = self._with_pairs(plan.connection_keys)
-        keys = state.keys
+        keys, y = state.keys, state.packed
+        times = rk4_times(self.time, config.dt)
+        acc = np.empty_like(y)  # the new state's array, so not a view into the scratch
+        x, k = np.empty((2,) + y.shape, dtype=y.dtype)  # see `_rk4_job`
+        h = np.empty((count, dim, dim), dtype=y.dtype)  # each patch's dressed neighbourhood
+        conn = [functools.partial(_oriented, dict(zip(keys, _unpacked(a, count)[1]))) for a in (y, x)]
+        links = [slice(count + m * dim, count + m * dim + dim) for m in range(len(keys))]
 
-        def rhs(t: float, y: np.ndarray, out: np.ndarray) -> None:
-            # on the calling thread, not `_each` (see the module docstring)
-            psi, conns = _unpacked(y, count)
-            dpsi, dconns = _unpacked(out, count)
-            conn = functools.partial(_oriented, dict(zip(keys, conns)))
-            h_eff = [_neighborhood(plan, self.n_sites, i, t, conn) for i in range(count)]
-            for h, v, dv in zip(h_eff, psi, dpsi):
-                np.matmul(h, v, out=dv)
-                dv *= -1j
-            for (i, j), c, dc in zip(keys, conns, dconns):
-                np.matmul(h_eff[i], c, out=dc)
-                dc *= -1j
-                ch = c @ h_eff[j]
-                ch *= 1j  # in place: one D x D temporary per link, not two
-                dc += ch
+        def patch(s: int, i: int) -> tuple[slice, np.ndarray]:
+            _neighborhood(plan, n, i, times[s], conn[s > 0], out=h[i])
+            np.matmul(h[i], (x if s else y)[i], out=k[i])
+            k[i] *= -1j
+            return slice(i, i + 1), k[i : i + 1]
 
+        def link(s: int, m: int) -> tuple[slice, np.ndarray]:
+            (i, j), c, dc = keys[m], (x if s else y)[links[m]], k[links[m]]
+            np.matmul(h[i], c, out=dc)
+            dc *= -1j
+            ch = c @ h[j]
+            ch *= 1j  # in place: one D x D temporary per link, not two
+            dc += ch
+            return links[m], dc
+
+        def finish(rows: slice) -> None:  # the new values of one slice
+            _require_finite(acc[rows], t_next, new_steps)
+            psi, new_conns = _unpacked(acc[rows], max(count - (rows.start or 0), 0))
+            if reunitarize and len(new_conns):
+                _reunitarize(new_conns, t_next, new_steps)
+            if config.renormalize:
+                for v in psi:
+                    v /= np.linalg.norm(v)
+
+        groups = ((count, patch), (len(keys), link))
+        waits = functools.partial(_direct_waits, count, keys)
         with np.errstate(invalid="ignore", over="ignore"):
-            y = rk4_step(state.packed, self.time, config.dt, rhs)
-        _require_finite(y, t_next, new_steps)
-        psi, conns = _unpacked(y, count)
-        if reunitarize:
-            _reunitarize(conns, t_next, new_steps)
-        if config.renormalize:
-            for v in psi:
-                v /= np.linalg.norm(v)
-        return state._replace(time=t_next, steps=new_steps, packed=y)
+            _rk4_job(y, (acc, x, k), config.dt, groups, waits, finish)
+        return state._replace(time=t_next, steps=new_steps, packed=acc)
 
     def _with_pairs(self, keys: Iterable[tuple[int, int]]) -> "DirectState":
         """This state with an identity connection for each pair in keys it lacks."""
@@ -735,15 +743,17 @@ def _neighborhood(
     i: int,
     t: float,
     conn: Callable[[int, int], tuple[np.ndarray, np.ndarray | None]],
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Products touching patch i at time t, transported into its frame.
+    """Products touching patch i at time t, transported into its frame (into out, if given).
 
     `conn(i, j)` is the connection c from patch j to patch i (j != i), with
     c^dag as a C-ordered array or None (see `_conjugated`); a factor placed
     on patch j enters as c @ f @ c^dag.
     """
     patches = plan.patches
-    out = np.zeros((2**n, 2**n), dtype=np.complex128)
+    out = np.empty((2**n, 2**n), dtype=np.complex128) if out is None else out
+    out.fill(0.0)
     for k in plan.touching[i]:
         prod = None
         for j, fac in plan.products[k]:
@@ -902,16 +912,14 @@ def _each(
 ) -> None:
     """task(i) for every i in range(count), on up to `_WORKERS` threads.
 
-    Each task must write only to slots of its own, and task i reads only
-    what the tasks waits(i) wrote, all of them below i (nothing without
-    waits). The calling thread and the pool's helpers pull indices from one
-    counter, so a slow task does not hold up the others, and a task waits
-    only for the ones it reads. Tasks on D x D matrices with D <
-    `_PARALLEL_DIM`, and every task when `_WORKERS` is 1, run here in index
-    order, which meets every wait without one. If
-    tasks fail, the rest still finish (those past a failed index may be
-    skipped, and so is every one waiting on a failed task), and the error of
-    the lowest failing index is raised, the one the serial order raises.
+    Each task writes only slots of its own, and task i reads only what the
+    tasks waits(i), all below i, wrote. The calling thread and the pool's
+    helpers pull indices from one counter, so a slow task holds up only the
+    tasks that read it. Tasks on D x D matrices with D < `_PARALLEL_DIM`,
+    and every task when `_WORKERS` is 1, run here in index order, which
+    meets every wait. If tasks fail, the rest still finish (those past a
+    failed index, or waiting on a failed task, may be skipped), and the
+    error of the lowest failing index is raised, as in the serial order.
     """
     workers = min(_WORKERS, count) if dim >= _PARALLEL_DIM else 1
     if workers <= 1:
@@ -932,6 +940,55 @@ def _each(
 # ---------------------------------------------------------------------------
 
 
+def _rk4_job(
+    y: np.ndarray, scratch: Sequence, dt: float, groups: Sequence[tuple[int, Callable]],
+    waits: Callable[[], Callable[[int], list[int]]], finish: Callable[[slice], None],
+) -> None:
+    """One RK4 step of dt from y into acc, scratch being (acc, x, k), as one `_each` job.
+
+    Per stage s it runs each group's tasks task(s, r), r < size, in order;
+    a task reads the stage input (y at s = 0, else x) and returns rows of y
+    and their slope, or None. The job folds the slope into those rows
+    (`rk4_update`) and at the last stage calls finish(rows); waits() gives
+    its wait rule. Where D < `_PARALLEL_DIM` it runs in order here, with no
+    waits, and folds each stage's slopes k into the whole array at once.
+    """
+    acc, x, k = scratch
+    if y.shape[-1] < _PARALLEL_DIM:  # without a call per task to dispatch it
+        for s in range(4):
+            for size, task in groups:
+                for r in range(size):
+                    task(s, r)
+            rk4_update(s, dt, y, acc, x, k)
+        finish(slice(None))
+        return
+    where = [(task, r) for size, task in groups for r in range(size)]
+
+    def run(index: int) -> None:
+        s, r = divmod(index, len(where))
+        task, r = where[r]
+        done = task(s, r)
+        if done is not None:
+            rows, slope = done
+            rk4_update(s, dt, y[rows], acc[rows], x[rows], slope)
+            if s == 3:
+                finish(rows)
+
+    _each(4 * len(where), run, y.shape[-1], waits())
+
+
+def _stage_waits(now: Sequence[Sequence[int]], before: Sequence[Sequence[int]]) -> Callable:
+    """The waits of a job of len(now) tasks per RK4 stage: task r of stage s waits for
+    tasks now[r] of stage s and, from s = 1, tasks before[r] of stage s - 1."""
+    width = len(now)
+
+    def waits(index: int) -> list[int]:
+        s, r = divmod(index, width)
+        return [s * width + q for q in now[r]] + ([(s - 1) * width + q for q in before[r]] if s else [])
+
+    return waits
+
+
 def _rk4_frames(
     plan: StepPlan,
     n: int,
@@ -946,27 +1003,20 @@ def _rk4_frames(
 
     over the plan's placed factors (J, f) of each product; returns the new stack.
 
-    The step is one job of tasks. Per stage it forms each product once,
-    shared by the patches it touches, into one (K, D, D) buffer, then each
-    frame's slope -i U_I R_I; a frame task then applies `rk4_update` to its
-    slice and, at the last stage, calls finish on the slice's new frames. A
-    slice is one patch, and the job one `_each` call; or, where D <
-    `_PARALLEL_DIM`, the whole stack: the tasks then run in order on this
-    thread, and the last frame of a stage updates every patch in one call
-    per operation. On one worker at larger D the
-    slices stay one patch, so that finish (the polar step) copies one
-    matrix at a time rather than the stack. The task waits (`_rk4_waits`)
-    let one product buffer serve every stage.
+    The step is one `_rk4_job`. Per stage it forms each product once, into
+    one (K, D, D) buffer that the task waits (`_rk4_waits`) let serve every
+    stage, then each frame's slope -i U_I R_I; finish gets each slice's new
+    frames. A slice is one patch (also on one worker, so that the polar step
+    copies one matrix at a time), or the whole stack where D < `_PARALLEL_DIM`.
     """
     count, dim = len(y), y.shape[-1]
     patches, touching = plan.patches, plan.touching
     n_prod = len(plan.products)
-    width = n_prod + count  # tasks per stage: the products, then the frames
     whole = dim < _PARALLEL_DIM
     times = rk4_times(t, dt)
     acc = np.empty_like(y)  # the running sum, then the new frames
-    # the stage inputs, the products and, for whole-stack slices, the slopes;
-    # a one-patch slice's slope is its task's own matrix, so no stack of them is alive
+    # the stage inputs, the products and, for whole-stack slices, the slopes
+    # (a one-patch slice's slope is its task's own matrix)
     scratch = np.empty(((2 if whole else 1) * count + n_prod, dim, dim), dtype=y.dtype)
     x, products, k = scratch[:count], scratch[count : count + n_prod], scratch[count + n_prod :]
 
@@ -982,7 +1032,7 @@ def _rk4_frames(
         if coef is not None:
             np.multiply(coef(times[s]), prod, out=slot)
 
-    def frame(s: int, i: int) -> None:
+    def frame(s: int, i: int) -> tuple[slice, np.ndarray]:
         r = None
         for q in touching[i]:
             r = products[q] if r is None else r + products[q]
@@ -992,57 +1042,38 @@ def _rk4_frames(
         else:
             np.matmul(x[i] if s else y[i], r, out=slope)
             slope *= -1j  # while the product is still in cache
-        if whole and i < count - 1:
-            return
-        part = slice(None) if whole else slice(i, i + 1)
-        rk4_update(s, dt, y[part], acc[part], x[part], k if whole else slope[None])
-        if s == 3:
-            finish(acc[part])
+        return slice(i, i + 1), slope
 
-    if whole:  # the job's index order, without a call per task to dispatch it
-        for s in range(4):
-            for q in range(n_prod):
-                product(s, q)
-            for i in range(count):
-                frame(s, i)
-        return acc
-
-    def task(index: int) -> None:
-        s, r = divmod(index, width)
-        if r < n_prod:
-            product(s, r)
-        else:
-            frame(s, r - n_prod)
-
-    _each(4 * width, task, dim, _rk4_waits(touching, n_prod))
+    groups = ((n_prod, product), (count, frame))
+    waits = functools.partial(_rk4_waits, touching, n_prod)
+    _rk4_job(y, (acc, x, k), dt, groups, waits, lambda rows: finish(acc[rows]))
     return acc
 
 
 def _rk4_waits(touching: Sequence[Sequence[int]], n_prod: int) -> Callable[[int], list[int]]:
-    """The tasks each task of `_rk4_frames`'s job reads, by index.
-
-    Per stage the job holds the n_prod products, then one frame task per
-    patch; touching[i] lists the products frame i reads. Frame i at stage s
-    waits for those products at stage s and for itself at stage s - 1.
-    Product q at stage s > 0 waits for the stage-(s - 1) frames that read
-    q: they include the frames that write the stage inputs of q's factor
-    patches (a product touches the patches its factors sit on), and they
-    are the last readers of q's slot before it is overwritten.
+    """The tasks each task of `_rk4_frames`'s job reads: per stage, n_prod products,
+    then one frame per patch. Frame i at stage s waits for the products
+    touching[i] lists at stage s and for itself at s - 1. Product q at stage
+    s > 0 waits for the stage-(s - 1) frames that read q: they write the
+    stage inputs of q's factor patches, and they are q's slot's last readers.
     """
-    width = n_prod + len(touching)
     readers: list[list[int]] = [[] for _ in range(n_prod)]
-    for i, near in enumerate(touching):
+    for i, near in enumerate(touching, n_prod):
         for q in near:
             readers[q].append(i)
+    frames = range(n_prod, n_prod + len(touching))
+    return _stage_waits([()] * n_prod + list(touching), readers + [[i] for i in frames])
 
-    def waits(index: int) -> list[int]:
-        s, r = divmod(index, width)
-        if r < n_prod:
-            earlier = (s - 1) * width + n_prod  # the first frame of the stage before
-            return [earlier + i for i in readers[r]] if s else []
-        return [s * width + q for q in touching[r - n_prod]] + ([index - width] if s else [])
 
-    return waits
+def _direct_waits(count: int, keys: Sequence[tuple[int, int]]) -> Callable[[int], list[int]]:
+    """The tasks each task of a direct-mode step's job reads: per stage, one patch
+    task per patch, then one link per key. Patch i at stage s waits for
+    itself and every link whose key holds i at stage s - 1: they write each
+    connection h_I reads and are h_I's slot's last readers. Link (i, j) at
+    stage s waits for patches i and j at stage s.
+    """
+    near = [[i] + [count + m for m, key in enumerate(keys) if i in key] for i in range(count)]
+    return _stage_waits([()] * count + [list(key) for key in keys], near + [()] * len(keys))
 
 
 def _require_finite(a: np.ndarray, time: float, steps: int) -> None:

@@ -246,3 +246,70 @@ def window_local_matrices(n, rng):
             yield lo, hi, core[0, 0] * np.eye(2**n, dtype=complex)
         else:
             yield lo, hi, np.kron(np.kron(np.eye(2 ** (n - 1 - hi)), core), np.eye(2**lo))
+
+
+def eager_direct_packed(hml, psi0, steps, dt, reunitarize_every, renormalize=False):
+    """Direct-mode `packed` after `steps` RK4 steps of dt from t = 0, by the eager formula.
+
+    Each slope forms every patch's dressed neighbourhood h_I at once, then
+    every -i h_I psi_I and every -i (h_I c - c h_J) of a stored connection
+    c from patch J to patch I, I < J; each step is the textbook RK4
+    combination of four such slopes, followed by `polar_unitary` of the whole
+    connection stack every `reunitarize_every` steps and, with renormalize,
+    each psi_I divided by its norm. This keeps the package's `apply_local`,
+    `embed_operator` and the same matrix products and sums in the same order,
+    so results agree bit for bit.
+    """
+    from gaugesim.lattice import apply_local, embed_operator
+    from gaugesim.linalg import polar_unitary
+
+    cover, n = hml.cover, hml.cover.n_sites
+    plan, count, dim = hml.step_plan(cover), len(cover), cover.dim
+    keys = plan.connection_keys
+
+    def connection(conns, i, j):  # from patch j to patch i, and its adjoint where stored
+        if i < j:
+            return conns[keys.index((i, j))], None
+        c = conns[keys.index((j, i))]
+        return c.conj().T, c
+
+    def slope(t, y):
+        psi, conns = y[:count], y[count:].reshape(-1, dim, dim)
+        h = []
+        for i in range(count):
+            total = np.zeros((dim, dim), dtype=complex)
+            for q in plan.touching[i]:
+                prod = None
+                for j, fac in plan.products[q]:
+                    if j == i:
+                        w = embed_operator(fac, plan.patches[j], n)
+                    else:
+                        c, c_dag = connection(conns, i, j)
+                        if c_dag is None:
+                            c_dag = np.conjugate(c.T, order="C")
+                        w = c @ apply_local(fac, plan.patches[j], n, c_dag)
+                    prod = w if prod is None else prod @ w
+                coef = plan.coefficients[q]
+                total += prod if coef is None else coef(t) * prod
+            h.append(total)
+        out = np.empty_like(y)
+        out[:count] = [(h[i] @ psi[i]) * -1j for i in range(count)]
+        dconns = out[count:].reshape(-1, dim, dim)
+        for m, (i, j) in enumerate(keys):
+            dconns[m] = (h[i] @ conns[m]) * -1j + (conns[m] @ h[j]) * 1j
+        return out
+
+    y = np.concatenate([np.repeat(psi0[None, :], count, axis=0)] + [np.eye(dim, dtype=complex)] * len(keys))
+    for step in range(1, steps + 1):
+        t = (step - 1) * dt
+        k1 = slope(t, y)
+        k2 = slope(t + dt / 2, y + dt / 2 * k1)
+        k3 = slope(t + dt / 2, y + dt / 2 * k2)
+        k4 = slope(t + dt, y + dt * k3)
+        y = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        if reunitarize_every and step % reunitarize_every == 0:
+            y[count:] = polar_unitary(y[count:].reshape(-1, dim, dim)).reshape(-1, dim)
+        if renormalize:
+            for v in y[:count]:
+                v /= np.linalg.norm(v)
+    return y

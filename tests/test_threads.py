@@ -1,10 +1,10 @@
 """The thread contract of `gauge._each`, the patch-parallel executor.
 
-A generator-mode step is one `_each` job of per-patch tasks, each waiting
-only for the tasks it reads, on `gauge._WORKERS` threads: usable cores //
-pinned BLAS threads, and 1 when the BLAS thread count is not pinned. A
-direct-mode step stays on the calling thread. The results do not depend on
-the worker count, bit for bit. Tests set the count by patching `_WORKERS`.
+An RK4 step, in either mode, is one `_each` job of per-patch (and, in
+direct mode, per-link) tasks, each waiting only for the tasks it reads, on
+`gauge._WORKERS` threads: usable cores // pinned BLAS threads, and 1 when
+the BLAS thread count is not pinned. The results do not depend on the
+worker count, bit for bit. Tests set the count by patching `_WORKERS`.
 """
 
 import faulthandler
@@ -20,6 +20,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gaugesim.gauge as gauge_module
 from gaugesim.errors import DivergenceError
@@ -33,10 +35,10 @@ from gaugesim.hamiltonian import (
     heisenberg_chain,
     tfim_chain,
 )
-from gaugesim.lattice import Patch
+from gaugesim.lattice import Patch, PatchCover
 from gaugesim.linalg import polar_unitary
 
-from _oracles import eager_generator_frames, plus_state, random_state
+from _oracles import eager_direct_packed, eager_generator_frames, plus_state, random_state
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -46,13 +48,22 @@ def _model(mode, n):
     return tfim_chain(n) if mode == GENERATOR else heisenberg_chain(n)
 
 
-def _driven_tfim(n):
-    """TFIM plus a driven XX bond and a three-factor product of ZZ on distant patches."""
-    h = tfim_chain(n)
+def _driven(h):
+    """h plus a driven XX bond and a three-factor product of ZZ on distant patches
+    (in direct mode the product links patches that do not overlap)."""
+    n = h.n_sites
     zz = np.kron(PAULI_Z, PAULI_Z)
     drive = LocalTerm(Patch((1, 2)), 0.3 * np.kron(PAULI_X, PAULI_X), lambda t: math.cos(3.0 * t))
     far = GeneralizedTerm((Patch((0, 1)), Patch((2, 3)), Patch((n - 2, n - 1))), 0.2, (zz, zz, zz))
     return LocalHamiltonian(h.cover, h.terms + (drive,), [far])
+
+
+def _driven_tfim(n):
+    return _driven(tfim_chain(n))
+
+
+def _driven_heisenberg(n):
+    return _driven(heisenberg_chain(n))
 
 
 @pytest.mark.parametrize(
@@ -72,9 +83,31 @@ def test_generator_frames_match_the_eager_formula_bitwise(monkeypatch, n, model,
         assert np.array_equal(state.frame_stack, want), workers
 
 
+@pytest.mark.parametrize(
+    "n, model, every, renormalize, steps",
+    [(4, heisenberg_chain, 1, False, 20), (4, heisenberg_chain, 5, False, 20)]
+    + [(7, heisenberg_chain, 1, False, 10), (7, heisenberg_chain, 5, False, 10)]
+    + [(7, _driven_heisenberg, 1, False, 10), (7, _driven_heisenberg, 5, False, 10)]
+    + [(7, heisenberg_chain, 5, True, 10)]
+    + [(8, heisenberg_chain, 5, False, 5)],  # one case at n = 8: it takes 6 s
+)
+def test_direct_packed_matches_the_eager_formula_bitwise(monkeypatch, n, model, every, renormalize, steps):
+    h = model(n)
+    psi0 = random_state(2**n, np.random.default_rng(n))
+    cfg = IntegratorConfig(dt=1e-3, reunitarize_every=every, renormalize=renormalize)
+    want = eager_direct_packed(h, psi0, steps, cfg.dt, every, renormalize)
+    for workers in (1, 2, 4):
+        monkeypatch.setattr(gauge_module, "_WORKERS", workers)
+        state = init_gauge_state(psi0, h.cover, mode=DIRECT, hamiltonian=h)
+        state = evolve(state, h, steps * cfg.dt, cfg)
+        assert state.steps == steps
+        assert np.array_equal(state.packed, want), workers
+
+
 @pytest.mark.parametrize("n, posts", [(7, [1]), (4, [])])
-def test_a_generator_step_posts_one_job(monkeypatch, n, posts):
-    h = tfim_chain(n)
+@pytest.mark.parametrize("mode", MODES)
+def test_a_step_posts_one_job(monkeypatch, mode, n, posts):
+    h = _model(mode, n)
     monkeypatch.setattr(gauge_module, "_WORKERS", 2)
     posted = []
     post = gauge_module._Pool.post
@@ -84,25 +117,31 @@ def test_a_generator_step_posts_one_job(monkeypatch, n, posts):
         post(pool, job, helpers)
 
     monkeypatch.setattr(gauge_module._Pool, "post", counted)
-    cfg = IntegratorConfig(dt=1e-3, reunitarize_every=1)
-    state = step(init_gauge_state(plus_state(n), h.cover), h, cfg)
+    cfg = IntegratorConfig(dt=1e-3, reunitarize_every=1)  # the slopes and the polar step
+    state = step(init_gauge_state(plus_state(n), h.cover, mode=mode, hamiltonian=h), h, cfg)
     assert posted == posts
     assert state.steps == 1
 
 
-def test_a_failed_task_ends_the_job_with_the_lowest_error(monkeypatch, capfd):
-    # two driven products raise at their third slope (stage index 2); every
-    # task waiting on them must still end, and the lower product's error wins
+@pytest.mark.parametrize("mode", MODES)
+def test_a_failed_task_ends_the_job_with_the_lowest_error(monkeypatch, capfd, mode):
+    # two driven products raise from their third coefficient call on: in
+    # generator mode at their third slope (stage index 2), in direct mode at
+    # the first, where each of the three patches a product touches calls it
+    # once. Every task waiting on them must still end, and the lower
+    # product's error wins
     n = 7
-    h = tfim_chain(n)
+    h = _model(mode, n)
     xx = np.kron(PAULI_X, PAULI_X)
 
     def failing(label):
-        calls = []
+        lock, calls = threading.Lock(), [0]
 
         def coefficient(t):
-            calls.append(t)
-            if len(calls) == 3:
+            with lock:  # direct-mode patch tasks call it from several threads
+                calls[0] += 1
+                late = calls[0] >= 3
+            if late:
                 raise ValueError(label)
             return 1.0
 
@@ -113,7 +152,7 @@ def test_a_failed_task_ends_the_job_with_the_lowest_error(monkeypatch, capfd):
         terms = tuple(LocalTerm(p, 0.1 * xx, failing(p.sites)) for p in patches)
         return LocalHamiltonian(h.cover, h.terms + terms)
 
-    state = init_gauge_state(plus_state(n), h.cover)
+    state = init_gauge_state(plus_state(n), h.cover, mode=mode, hamiltonian=h)
     cfg = IntegratorConfig(dt=1e-3, reunitarize_every=1)
     monkeypatch.setattr(gauge_module, "_WORKERS", 4)
     interval = sys.getswitchinterval()
@@ -131,22 +170,81 @@ def test_a_failed_task_ends_the_job_with_the_lowest_error(monkeypatch, capfd):
             sys.setswitchinterval(interval)
 
 
-# generator mode: test_generator_frames_match_the_eager_formula_bitwise[8-tfim_chain-5]
-@pytest.mark.parametrize("mode", [DIRECT])
-def test_one_and_two_workers_agree_bit_for_bit(monkeypatch, mode):
-    n = 8
-    h = _model(mode, n)
-    psi0 = random_state(2**n, np.random.default_rng(8))
-    cfg = IntegratorConfig(dt=1e-3, reunitarize_every=5)  # the polar step runs 4 times
+@st.composite
+def _plans(draw):
+    """A step plan on a cover of up to 6 patches (a partition of the chain plus
+    random, possibly gapped, patches) with random plain and generalized
+    terms, and the stored keys: the plan's, plus random extra pairs."""
+    n = draw(st.integers(1, 5))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=n - 1))) if n > 1 else []
+    blocks = [tuple(range(a, b)) for a, b in zip([0] + cuts, cuts + [n])]
+    extra = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1, max_size=3), max_size=6))
+    sites = list(dict.fromkeys(blocks + [tuple(sorted(e)) for e in extra]))[:6]
+    cover = PatchCover(n, sites + [(s,) for s in range(n) if not any(s in p for p in sites)])
+    patches, count = cover.patches, len(cover)
+    index = st.integers(0, count - 1)
+    terms = [
+        LocalTerm(patches[i], np.eye(patches[i].dim), (lambda t: 1.0) if driven else None)
+        for i, driven in draw(st.lists(st.tuples(index, st.booleans()), max_size=6))
+    ]
+    gen_terms = [
+        GeneralizedTerm([patches[i] for i in placed], 1.0, [np.eye(patches[i].dim) for i in placed])
+        for placed in draw(st.lists(st.lists(index, min_size=1, max_size=3, unique=True), max_size=3))
+    ]
+    plan = LocalHamiltonian(cover, terms, gen_terms).step_plan(cover)
+    pairs = st.tuples(index, index).filter(lambda p: p[0] < p[1])
+    keys = tuple(sorted(set(plan.connection_keys) | (draw(st.sets(pairs, max_size=3)) if count > 1 else set())))
+    return plan, keys
 
-    runs = []
-    for workers in (1, 2):
-        monkeypatch.setattr(gauge_module, "_WORKERS", workers)
-        state = init_gauge_state(psi0, h.cover, mode=mode, hamiltonian=h)
-        runs.append(evolve(state, h, 20 * cfg.dt, cfg))
-    serial, parallel = runs
-    assert serial.steps == parallel.steps == 20
-    assert np.array_equal(serial.packed, parallel.packed)
+
+def _generator_tasks(plan):
+    """(reads, writes) of each task of `_rk4_frames`'s job, in index order."""
+    tasks = []
+    for s in range(4):
+        for q, placed in enumerate(plan.products):
+            tasks.append(({("x", j) for j, _ in placed} if s else set(), {("product", q)}))
+        for i, near in enumerate(plan.touching):
+            reads = {("product", q) for q in near} | ({("x", i), ("acc", i)} if s else set())
+            tasks.append((reads, {("acc", i)} | ({("x", i)} if s < 3 else set())))
+    return tasks
+
+
+def _direct_tasks(plan, keys):
+    """(reads, writes) of each task of a direct-mode step's job, in index order.
+    Patch i reads the stored connection of each pair (i, j), j a factor patch
+    of a product touching i; a link (i, j) reads h_I and h_J."""
+    tasks = []
+    for s in range(4):
+        for i, near in enumerate(plan.touching):
+            conns = {("x", tuple(sorted((i, j)))) for q in near for j, _ in plan.products[q] if j != i}
+            reads = conns | {("x", i), ("acc", i)} if s else set()
+            tasks.append((reads, {("h", i), ("k", i), ("acc", i)} | ({("x", i)} if s < 3 else set())))
+        for i, j in keys:
+            reads = {("h", i), ("h", j)} | ({("x", (i, j)), ("acc", (i, j))} if s else set())
+            writes = {("k", (i, j)), ("acc", (i, j))} | ({("x", (i, j))} if s < 3 else set())
+            tasks.append((reads, writes))
+    return tasks
+
+
+def _assert_ordered(tasks, waits):
+    """Every waits(b) is below b, and every two tasks that touch one slot, one of
+    them writing it, are ordered by the transitive closure of the waits."""
+    after: list[set[int]] = []  # the tasks each task runs after
+    for b, (reads, writes) in enumerate(tasks):
+        direct = list(waits(b))
+        assert all(a < b for a in direct), (b, direct)
+        after.append(set(direct).union(*(after[a] for a in direct)))
+        for a, (reads_a, writes_a) in enumerate(tasks[:b]):
+            if writes_a & (reads | writes) or reads_a & writes:
+                assert a in after[b], (a, b, tasks[a], tasks[b])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_plans())
+def test_the_step_waits_order_every_conflicting_pair_of_tasks(drawn):
+    plan, keys = drawn
+    _assert_ordered(_generator_tasks(plan), gauge_module._rk4_waits(plan.touching, len(plan.products)))
+    _assert_ordered(_direct_tasks(plan, keys), gauge_module._direct_waits(len(plan.patches), keys))
 
 
 def test_unpinned_blas_starts_no_thread():
@@ -189,17 +287,6 @@ def test_workers_are_cores_over_blas_threads(monkeypatch, environ, workers):
         monkeypatch.setenv(var, value)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     assert gauge_module._default_workers() == workers
-
-
-def test_direct_mode_steps_on_the_calling_thread(monkeypatch):
-    n = 7
-    h = heisenberg_chain(n)
-    monkeypatch.setattr(gauge_module, "_WORKERS", 2)
-    posted = []
-    monkeypatch.setattr(gauge_module._Pool, "post", lambda self, job, helpers: posted.append(helpers))
-    state = init_gauge_state(plus_state(n), h.cover, mode=DIRECT, hamiltonian=h)
-    step(state, h, IntegratorConfig(dt=1e-3, reunitarize_every=1))  # the RHS and the polar step
-    assert posted == []
 
 
 def test_small_matrices_stay_on_the_calling_thread(monkeypatch):
