@@ -37,8 +37,8 @@ and, at the last stage, checks and re-unitarizes it; for D <
 `_PARALLEL_DIM` the job runs in order and a stage updates the whole array
 at once. On a 2-core VM with one BLAS thread, a TFIM n = 7 step took
 16.6-20.3 ms on 2 workers against 28-33 ms on 1; heis-direct-n7 ran at a
-median 37.7 steps/s (quartiles 34.7-39.9) over 10 benchmark runs against
-25.4 (24.3-27.5) serial, faster in 10 of 10 pairs. States are never
+median 39.1 steps/s (quartiles 35.2-41.2) over 30 benchmark runs against
+25.9 (24.0-27.3) serial, faster in 30 of 30 pairs. States are never
 mutated in place and observable queries are read-only.
 """
 
