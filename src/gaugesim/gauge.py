@@ -420,15 +420,15 @@ class GeneratorState(GaugeState):
 
         Every factor is a window, and every product is contracted over its
         factors' shared sites onto their hull (`lattice._mul`), in the eager
-        formula's order: S_g on the hull of U_g's window and g's sites, the
-        near sandwiches left to right into W, then U W (a gate's own patch
-        takes G U W). A patch's new window is `_window` run on its product's
-        hull-sized core; a patch away from every gate keeps its window.
+        formula's order: S_g on the hull of U_g's window and g's sites, then
+        U S_1 S_2 ... folded from the patch's own U (G U on a gate's patch),
+        so it widens only as the sandwiches do. `_window` on its hull-sized
+        core gives the new window; a patch away from every gate keeps its own.
 
         A product of two cores spanning the chain is the dense D x D one. The
         S_g of such a G U is formed when the first patch needs it and freed
-        after the last, so on a chain at most two sandwiches and one product
-        of two are alive next to the frames made so far.
+        after the last, so on a chain at most two sandwiches and the running
+        product are alive next to the frames made so far.
         """
         cover, n, old = self.cover, self.n_sites, self.windows
         patches = cover.patches
@@ -458,18 +458,14 @@ class GeneratorState(GaugeState):
         for i, p in enumerate(patches):
             if users.get(p):
                 sandwich(p)  # read G U before it leaves `own` below
-            if not near[i]:
-                if p in gates:
-                    windows[i] = _stripped(own.pop(p))
-                continue
-            mats = [sandwich(gp) for gp in near[i]]
-            w = functools.reduce(_mul, mats)
-            windows[i] = _stripped(_mul(own.pop(p) if p in gates else old[i], w))
+            if p in gates or near[i]:
+                windows[i] = _stripped(
+                    functools.reduce(_mul, map(sandwich, near[i]), own.pop(p) if p in gates else old[i])
+                )
             for gp in near[i]:
                 users[gp] -= 1
                 if not users[gp]:
-                    del sandwiches[gp]
-            del mats, w  # a sandwich past its last user is freed here
+                    del sandwiches[gp]  # a sandwich past its last user is freed here
         return self._replace(windows=tuple(windows))
 
     def _collapsed(self, patch: Patch, collapsed: np.ndarray) -> "GeneratorState":
@@ -1191,10 +1187,11 @@ def apply_commuting_layer(
     chain. Such a layer holds its input and output windows plus window-sized
     temporaries, and no D x D matrix. A product of two cores spanning the
     chain is the dense one, and a layer of those holds, next to the frames,
-    at most s + 1 D x D temporaries (s + 2 where a window short of the chain
-    enters a product spanning it), s being the most gate sandwiches
-    V^dag G V alive at once: each is formed when the first patch needs it
-    and freed after the last (s = 2 on a chain brickwork).
+    at most s + 1 D x D temporaries, s sandwiches V^dag G V and the running
+    product U S_1 S_2 ... of a patch (s + 2 where a window short of the
+    chain enters a product spanning it), s being the most sandwiches alive
+    at once: each is formed when the first patch needs it and freed after
+    the last (s = 2 on a chain brickwork).
     """
     checked: dict[Patch, np.ndarray] = {}  # in sorted patch order
     for patch in sorted(gates):

@@ -133,14 +133,15 @@ def eager_layer_frames(state, gates):
     """Frames after a commuting layer, by the eager formula: every sandwich at once.
 
     U_I -> U_I prod_(g near I) U_g^dag G U_g on the stored (plain-gauge)
-    frames, and a gate's own patch takes G U. This keeps the package's
-    `apply_local` and the same matrix products in the same order, so results
-    agree bit for bit.
+    frames, and a gate's own patch takes G U, each product formed left to
+    right from the patch's own factor. This keeps the package's `apply_local`
+    and the same matrix products in the same order, so with `gates` in sorted
+    patch order, as the layer takes them, results agree bit for bit.
     """
     from gaugesim.lattice import apply_local
 
     patches = state.cover.patches
-    frames = np.empty_like(state.frame_stack)
+    frames = state.frame_stack.copy()
     sandwiches = {}
     for gp, g in gates.items():
         i = state.cover.index(gp)
@@ -150,17 +151,9 @@ def eager_layer_frames(state, gates):
             sandwiches[gp] = v.conj().T @ gv
         frames[i] = gv
     for i, p in enumerate(patches):
-        w = None
         for gp in gates:
             if gp != p and gp.overlaps(p):
-                w = sandwiches[gp] if w is None else w @ sandwiches[gp]
-        if p in gates:
-            if w is not None:
-                frames[i] = frames[i] @ w
-        elif w is None:
-            frames[i] = state.frame_stack[i]
-        else:
-            np.matmul(state.frame_stack[i], w, out=frames[i])
+                frames[i] = frames[i] @ sandwiches[gp]
     return frames
 
 

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gaugesim.gauge as gauge_module
 import gaugesim.lattice as lattice_module
@@ -1074,14 +1076,16 @@ class TestWindowedLayer:
 
     def test_products_lift_no_factor_past_its_own_range(self, monkeypatch):
         # the last layer of an n = 10 depth-3 brickwork multiplies 64 x 64 cores
-        # that share a few sites; each product contracts over those sites only
+        # that share a few sites; each product contracts over those sites only,
+        # and U S_1 S_2 keeps U S_1 on a 6-site hull, where S_1 S_2 would first
+        # span 8 sites and then U (S_1 S_2) again
         n, depth = 10, 3
         rng = np.random.default_rng(241)
         state = init_gauge_state(random_state(2**n, rng), nn_pair_cover(n))
         circ = brickwork(n, depth, 251)
         for k in range(depth - 1):
             state = apply_commuting_layer(state, circ.layer_gates(k))
-        lifted, overlapping = [], []
+        lifted, overlapping, hulls, work = [], [], [], []
         lift, mul = lattice_module._lift, gauge_module._mul
 
         def spying_lift(w, lo, hi, out=None):
@@ -1092,12 +1096,79 @@ class TestWindowedLayer:
         def spying_mul(a, b):
             if a[:2] != b[:2] and max(a[0], b[0]) <= min(a[1], b[1]):
                 overlapping.append((a[:2], b[:2]))
+            lo, hi = lattice_module._hull(a, b)
+            hulls.append(hi - lo + 1)
+            work.append(len(a[2]) * len(b[2]) * 2 ** (hi - lo + 1))
             return mul(a, b)
 
         monkeypatch.setattr(lattice_module, "_lift", spying_lift)
         monkeypatch.setattr(gauge_module, "_mul", spying_mul)
         apply_commuting_layer(state, circ.layer_gates(depth - 1))
         assert overlapping and not lifted
+        assert max(hulls) == 8 and hulls.count(8) == 2
+        assert sum(work) == 2_428_928  # multiply-adds, D_a D_b D_hull per product
+
+
+# chains, a cover of gapped patches, and the loop cover
+_LAYER_COVERS = [nn_pair_cover(n) for n in range(2, 7)] + [
+    PatchCover(6, [(0, 2), (1, 3), (2, 4), (3, 5)]),
+    PatchCover(5, [(0, 1, 2), (2, 3), (3, 4), (1, 4)]),
+]
+
+
+class TestLayerProperties:
+    """A commuting layer against the eager formula and the global state, on drawn inputs."""
+
+    @staticmethod
+    def _layer(cover, kind, rng):
+        """Haar gates on disjoint patches, or diagonal gates on overlapping ones,
+        in sorted patch order, as the layer takes them."""
+        patches = [cover.patches[k] for k in rng.permutation(len(cover))]
+        if kind == "diagonal":
+            chosen = patches[: rng.integers(1, len(patches) + 1)]
+            gates = {p: np.diag(np.exp(1j * rng.uniform(-np.pi, np.pi, p.dim))) for p in chosen}
+        else:
+            chosen = []
+            for p in patches:
+                if rng.random() < 0.8 and not any(p.overlaps(q) for q in chosen):
+                    chosen.append(p)
+            gates = {p: random_unitary(p.dim, rng) for p in chosen}
+        return dict(sorted(gates.items()))
+
+    @staticmethod
+    def _global(gates, n, psi):
+        for p, g in gates.items():
+            psi = embed_operator(g, p, n) @ psi
+        return psi
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        cover=st.sampled_from(_LAYER_COVERS),
+        frames=st.sampled_from(["fresh", "windowed", "evolved"]),
+        kind=st.sampled_from(["haar", "diagonal"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_layer_matches_eager_formula_and_global_state(self, cover, frames, kind, seed):
+        n, rng = cover.n_sites, np.random.default_rng(seed)
+        psi = random_state(2**n, rng)
+        state = init_gauge_state(psi, cover)
+        if frames == "windowed":
+            for layer_kind in ("haar", "diagonal"):
+                gates = self._layer(cover, layer_kind, rng)
+                state, psi = apply_commuting_layer(state, gates), self._global(gates, n, psi)
+        elif frames == "evolved":  # exact dense frames C_I^dag U of a random local Hamiltonian
+            h = LocalHamiltonian(cover, [LocalTerm(p, random_hermitian(p.dim, rng)) for p in cover])
+            bundle = reference_gauge_state(h, cover, psi, rng.uniform(0.1, 0.5))
+            stack = np.array([bundle.frames[p] for p in cover.patches])
+            state, psi = state._replace(frame_stack=stack), bundle.psi_schrodinger
+        gates = self._layer(cover, kind, rng)
+        new = apply_commuting_layer(state, gates)
+        assert np.array_equal(new.frame_stack, eager_layer_frames(state, gates))
+        psi = self._global(gates, n, psi)
+        for p in cover.patches:
+            op = random_hermitian(p.dim, rng)
+            want = np.vdot(psi, embed_operator(op, p, n) @ psi)
+            assert abs(new.local_expectation(p, op) - want) < 1e-12
 
 
 class TestWindowedChecks:
