@@ -224,7 +224,6 @@ def audit_lightcone(
     patch: Patch,
     depth: int,
     tol: float = 1e-12,
-    include_connections: bool = True,
 ) -> LightConeAudit:
     """Check that the patch's frame and connections stay inside the light cone.
 
@@ -248,18 +247,15 @@ def audit_lightcone(
     support = {s for s, x in defects.items() if x > tol}
     violations = sorted(support - pred.allowed_sites)
     conn_supports = {}
-    if include_connections:
-        for other in state.cover.overlapping(patch):
-            if other == patch:
-                continue
-            pair_allowed = pred.allowed_sites | LightConePrediction.chain(
-                other, depth, n
-            ).allowed_sites
-            conn = state._connection(i, state.cover.index(other))
-            conn = _dressed_window(conn, d, state.dressing_of(other))
-            c_support = {s for s, x in _window_defects(conn, n).items() if x > tol}
-            conn_supports[other] = tuple(sorted(c_support))
-            violations.extend(sorted(c_support - pair_allowed))
+    for other in state.cover.overlapping(patch):
+        if other == patch:
+            continue
+        pair_allowed = pred.allowed_sites | LightConePrediction.chain(other, depth, n).allowed_sites
+        conn = state._connection(i, state.cover.index(other))
+        conn = _dressed_window(conn, d, state.dressing_of(other))
+        c_support = {s for s, x in _window_defects(conn, n).items() if x > tol}
+        conn_supports[other] = tuple(sorted(c_support))
+        violations.extend(sorted(c_support - pair_allowed))
     allowed_sorted = sorted(pred.allowed_sites)
     if support:
         lo, hi = min(support), max(support)

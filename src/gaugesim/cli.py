@@ -194,8 +194,6 @@ def _parse_observables(specs, cover: PatchCover) -> list[Observable]:
         if not isinstance(sites, list):
             raise _fail(f"{path}.sites", f"must be a list of sites, got {sites!r}")
         sites = tuple(_integer(s, f"{path}.sites") for s in sites)
-        if len(labels) != len(sites):
-            raise _fail(path, f"{len(labels)} Pauli labels for {len(sites)} sites")
         host = next(
             (p for p in cover.patches if set(sites) <= set(p.sites)), None
         )

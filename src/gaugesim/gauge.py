@@ -24,33 +24,31 @@ Schroedinger operator A is A itself. A gauge transform only multiplies the
 per-patch factor D_I (the dressing) that the read-outs `psi`, `frames`,
 `connection(s)` and `effective_hamiltonian` apply; nothing else reads it.
 
-The equations of motion are local, so an RK4 step is one `_each` job
-(`_rk4_job`), run on every usable core when BLAS is pinned (see
-`_WORKERS`), whose tasks each wait only for the tasks they read, not for a
-barrier across patches. In generator mode (`_rk4_frames`) a stage forms the
-products of the plan, then each frame's slope, which reads only the products
-touching it (`_rk4_waits`). In direct mode a stage forms each patch's dressed
-neighbourhood h_I and slope, then each link's -i (h_I U_IJ - U_IJ h_J); patch
-I waits for itself and the links at I of the stage before, link IJ for
-patches I and J (`_direct_waits`). A task folds its slope into its own slice
-and, at the last stage, checks and re-unitarizes it; for D <
-`_PARALLEL_DIM` the job runs in order and a stage updates the whole array
-at once. On a 2-core VM with one BLAS thread, a TFIM n = 7 step took
-16.6-20.3 ms on 2 workers against 28-33 ms on 1; heis-direct-n7 ran at a
-median 39.1 steps/s (quartiles 35.2-41.2) over 30 benchmark runs against
-25.9 (24.0-27.3) serial, faster in 30 of 30 pairs. States are never
-mutated in place and observable queries are read-only.
+The equations of motion are local, so an RK4 step is one job of tasks
+(`integrate._rk4_job`; the executor that runs it on every usable core when
+BLAS is pinned lives in `integrate` too), whose tasks each wait only for
+the tasks they read, not for a barrier across patches. The tasks and their
+wait rules are defined here. In generator mode (`_rk4_frames`) a stage
+forms the products of the plan, then each frame's slope, which reads only
+the products touching it (`_rk4_waits`). In direct mode a stage forms each
+patch's dressed neighbourhood h_I and slope, then each link's
+-i (h_I U_IJ - U_IJ h_J); patch I waits for itself and the links at I of
+the stage before, link IJ for patches I and J (`_direct_waits`). A task
+folds its slope into its own slice and, at the last stage, the job checks
+it and the step re-unitarizes it; for D < `_PARALLEL_DIM` the job runs in
+order and a stage updates the whole array at once. On a 2-core VM with one
+BLAS thread, a TFIM n = 7 step took 16.6-20.3 ms on 2 workers against
+28-33 ms on 1; heis-direct-n7 ran at a median 39.1 steps/s (quartiles
+35.2-41.2) over 30 benchmark runs against 25.9 (24.0-27.3) serial, faster
+in 30 of 30 pairs. States are never mutated in place and observable
+queries are read-only.
 """
 
 from __future__ import annotations
 
-import collections
-import contextvars
 import functools
 import itertools
 import numbers
-import os
-import threading
 from dataclasses import asdict, dataclass, replace as dc_replace
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -58,7 +56,8 @@ import numpy as np
 
 from .errors import ContractError, DivergenceError
 from .hamiltonian import LocalHamiltonian, StepPlan
-from .integrate import rk4_step, rk4_times, rk4_update, time_grid  # rk4_step: bench/spans.py wraps it
+from .integrate import _PARALLEL_DIM, _rk4_job, rk4_times, time_grid
+from .integrate import rk4_step  # noqa: F401 -- bench/spans.py wraps gauge.rk4_step
 from .lattice import (
     _IDENTITY,
     Patch,
@@ -406,13 +405,11 @@ class GeneratorState(GaugeState):
         t_next = self.time + config.dt
         new_steps = self.steps + 1
 
-        def finish(frames: np.ndarray) -> None:  # the new frames of one slice
-            _require_finite(frames, t_next, new_steps)
+        def finish(rows: slice, frames: np.ndarray) -> None:  # the new frames of one slice
             if reunitarize:
                 _reunitarize(frames, t_next, new_steps)
 
-        with np.errstate(invalid="ignore", over="ignore"):
-            frames = _rk4_frames(plan, self.n_sites, self.frame_stack, self.time, config.dt, finish)
+        frames = _rk4_frames(plan, self.n_sites, self.frame_stack, self.time, config.dt, new_steps, finish)
         return self._replace(time=t_next, steps=new_steps, frame_stack=frames)
 
     def _layered(self, gates: dict[Patch, np.ndarray]) -> "GeneratorState":
@@ -559,8 +556,7 @@ class DirectState(GaugeState):
             state = self._with_pairs(plan.connection_keys)
         keys, y = state.keys, state.packed
         times = rk4_times(self.time, config.dt)
-        acc = np.empty_like(y)  # the new state's array, so not a view into the scratch
-        x, k = np.empty((2,) + y.shape, dtype=y.dtype)  # see `_rk4_job`
+        x, k = scratch = np.empty((2,) + y.shape, dtype=y.dtype)  # see `_rk4_job`
         h = np.empty((count, dim, dim), dtype=y.dtype)  # each patch's dressed neighbourhood
         conn = [functools.partial(_oriented, dict(zip(keys, _unpacked(a, count)[1]))) for a in (y, x)]
         links = [slice(count + m * dim, count + m * dim + dim) for m in range(len(keys))]
@@ -580,9 +576,8 @@ class DirectState(GaugeState):
             dc += ch
             return links[m], dc
 
-        def finish(rows: slice) -> None:  # the new values of one slice
-            _require_finite(acc[rows], t_next, new_steps)
-            psi, new_conns = _unpacked(acc[rows], max(count - (rows.start or 0), 0))
+        def finish(rows: slice, new: np.ndarray) -> None:  # the new values of one slice
+            psi, new_conns = _unpacked(new, max(count - (rows.start or 0), 0))
             if reunitarize and len(new_conns):
                 _reunitarize(new_conns, t_next, new_steps)
             if config.renormalize:
@@ -591,9 +586,8 @@ class DirectState(GaugeState):
 
         groups = ((count, patch), (len(keys), link))
         waits = functools.partial(_direct_waits, count, keys)
-        with np.errstate(invalid="ignore", over="ignore"):
-            _rk4_job(y, (acc, x, k), config.dt, groups, waits, finish)
-        return state._replace(time=t_next, steps=new_steps, packed=acc)
+        packed = _rk4_job(y, scratch, self.time, config.dt, new_steps, groups, waits, finish)
+        return state._replace(time=t_next, steps=new_steps, packed=packed)
 
     def _with_pairs(self, keys: Iterable[tuple[int, int]]) -> "DirectState":
         """This state with an identity connection for each pair in keys it lacks."""
@@ -786,203 +780,8 @@ def effective_hamiltonian(
 
 
 # ---------------------------------------------------------------------------
-# Patch-parallel executor
-# ---------------------------------------------------------------------------
-
-
-def _default_workers() -> int:
-    """Usable cores // BLAS threads, or 1 where the BLAS thread count is not pinned.
-
-    OpenBLAS reads OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS. With neither
-    set it may use every core itself, and workers on top of it oversubscribe
-    them: on a 2-core VM a TFIM n = 7 step took 42 ms with 2-thread BLAS and
-    2 workers, against 31 ms with 2-thread BLAS alone.
-    """
-    value = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
-    try:
-        blas = int(value)
-    except (TypeError, ValueError):
-        return 1
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return max(1, cores // blas) if blas > 0 else 1
-
-
-_WORKERS = _default_workers()  # threads sharing one `_each` call, the caller included
-# Tasks on smaller matrices stay on the calling thread, where handing them out
-# costs more than it saves: on a 2-core VM with one BLAS thread, a TFIM step
-# with 2 workers ran at 1.63x of serial speed at D = 128, 0.80x at D = 64
-# and 0.31x at D = 32.
-_PARALLEL_DIM = 128
-
-
-class _Job:
-    """The tasks of one `_each` call, pulled by index from one shared counter.
-
-    Task i first waits for the tasks `waits(i)` names, all below i, so the
-    lowest task pulled but not ended can always run and the job cannot stall.
-    A task that fails or is skipped ends like one that ran.
-    """
-
-    def __init__(
-        self, count: int, task: Callable[[int], None], waits: Callable[[int], Iterable[int]] | None
-    ):
-        self.count, self.task, self.waits = count, task, waits
-        self.lock = threading.Lock()
-        self.pulled = 0  # the next index to hand out
-        self.finished = 0  # indices run or skipped
-        self.lowest = count  # the lowest failing index so far, and its error
-        self.error: BaseException | None = None
-        self.running = [threading.Lock() for _ in range(count)]  # each held until its task ends
-        for lock in self.running:
-            lock.acquire()
-        self.done = threading.Event()
-
-    def pull(self) -> None:
-        """Run tasks until every index is handed out, skipping any past the lowest failure."""
-        while True:
-            with self.lock:
-                i = self.pulled
-                self.pulled += 1
-            if i >= self.count:
-                return
-            try:
-                for j in self.waits(i) if self.waits else ():
-                    with self.running[j]:  # taken once task j has ended (an Event costs more)
-                        pass
-                if i < self.lowest:  # read after the waits: a failed dependency is seen
-                    self.task(i)
-            except BaseException as exc:  # re-raised by the caller once all have finished
-                with self.lock:
-                    if i < self.lowest:
-                        self.lowest, self.error = i, exc
-            self.running[i].release()
-            with self.lock:
-                self.finished += 1
-                if self.finished == self.count:
-                    self.done.set()
-
-
-class _Pool:
-    """Daemon threads serving `_Job`s from one queue, started when first needed."""
-
-    def __init__(self):
-        self.jobs: collections.deque[Callable[[], None]] = collections.deque()
-        self.ready = threading.Semaphore(0)  # one release per queued job
-        self.threads = 0
-        self.lock = threading.Lock()
-
-    def post(self, job: _Job, helpers: int) -> None:
-        """Hand job to `helpers` threads, each under a copy of the caller's context
-        (numpy's error state lives there)."""
-        with self.lock:
-            while self.threads < helpers:
-                threading.Thread(target=self._serve, daemon=True).start()
-                self.threads += 1
-        for _ in range(helpers):
-            self.jobs.append(functools.partial(contextvars.copy_context().run, job.pull))
-        self.ready.release(helpers)
-
-    def _serve(self) -> None:
-        while self.ready.acquire():  # holds no job between jobs, so none keeps a step's arrays alive
-            self.jobs.popleft()()
-
-
-_pool = _Pool()
-
-
-def _forget_pool() -> None:
-    """A forked child has none of its parent's threads: give it a pool of its own."""
-    global _pool
-    _pool = _Pool()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _each(
-    count: int,
-    task: Callable[[int], None],
-    dim: int,
-    waits: Callable[[int], Iterable[int]] | None = None,
-) -> None:
-    """task(i) for every i in range(count), on up to `_WORKERS` threads.
-
-    Each task writes only slots of its own, and task i reads only what the
-    tasks waits(i), all below i, wrote. The calling thread and the pool's
-    helpers pull indices from one counter, so a slow task holds up only the
-    tasks that read it. Tasks on D x D matrices with D < `_PARALLEL_DIM`,
-    and every task when `_WORKERS` is 1, run here in index order, which
-    meets every wait. If tasks fail, the rest still finish (those past a
-    failed index, or waiting on a failed task, may be skipped), and the
-    error of the lowest failing index is raised, as in the serial order.
-    """
-    workers = min(_WORKERS, count) if dim >= _PARALLEL_DIM else 1
-    if workers <= 1:
-        for i in range(count):
-            task(i)
-        return
-    job = _Job(count, task, waits)
-    _pool.post(job, workers - 1)
-    job.pull()
-    job.done.wait()
-    job.task = None  # a helper yet to take the job from the queue finds nothing to run
-    if job.error is not None:
-        raise job.error
-
-
-# ---------------------------------------------------------------------------
 # Time stepping
 # ---------------------------------------------------------------------------
-
-
-def _rk4_job(
-    y: np.ndarray, scratch: Sequence, dt: float, groups: Sequence[tuple[int, Callable]],
-    waits: Callable[[], Callable[[int], list[int]]], finish: Callable[[slice], None],
-) -> None:
-    """One RK4 step of dt from y into acc, scratch being (acc, x, k), as one `_each` job.
-
-    Per stage s it runs each group's tasks task(s, r), r < size, in order;
-    a task reads the stage input (y at s = 0, else x) and returns rows of y
-    and their slope, or None. The job folds the slope into those rows
-    (`rk4_update`) and at the last stage calls finish(rows); waits() gives
-    its wait rule. Where D < `_PARALLEL_DIM` it runs in order here, with no
-    waits, and folds each stage's slopes k into the whole array at once.
-    """
-    acc, x, k = scratch
-    if y.shape[-1] < _PARALLEL_DIM:  # without a call per task to dispatch it
-        for s in range(4):
-            for size, task in groups:
-                for r in range(size):
-                    task(s, r)
-            rk4_update(s, dt, y, acc, x, k)
-        finish(slice(None))
-        return
-    where = [(task, r) for size, task in groups for r in range(size)]
-
-    def run(index: int) -> None:
-        s, r = divmod(index, len(where))
-        task, r = where[r]
-        done = task(s, r)
-        if done is not None:
-            rows, slope = done
-            rk4_update(s, dt, y[rows], acc[rows], x[rows], slope)
-            if s == 3:
-                finish(rows)
-
-    _each(4 * len(where), run, y.shape[-1], waits())
-
-
-def _stage_waits(now: Sequence[Sequence[int]], before: Sequence[Sequence[int]]) -> Callable:
-    """The waits of a job of len(now) tasks per RK4 stage: task r of stage s waits for
-    tasks now[r] of stage s and, from s = 1, tasks before[r] of stage s - 1."""
-    width = len(now)
-
-    def waits(index: int) -> list[int]:
-        s, r = divmod(index, width)
-        return [s * width + q for q in now[r]] + ([(s - 1) * width + q for q in before[r]] if s else [])
-
-    return waits
 
 
 def _rk4_frames(
@@ -991,9 +790,10 @@ def _rk4_frames(
     y: np.ndarray,
     t: float,
     dt: float,
-    finish: Callable[[np.ndarray], None],
+    steps: int,
+    finish: Callable[[slice, np.ndarray], None],
 ) -> np.ndarray:
-    """One RK4 step of dt from the (P, D, D) frame stack y, for dU_I/dt = -i U_I R_I with
+    """Step `steps` of dt from the (P, D, D) frame stack y, for dU_I/dt = -i U_I R_I with
 
     R_I = sum_(products q touching I) c_q(t) prod_(J, f) U_J^dag f U_J
 
@@ -1001,16 +801,16 @@ def _rk4_frames(
 
     The step is one `_rk4_job`. Per stage it forms each product once, into
     one (K, D, D) buffer that the task waits (`_rk4_waits`) let serve every
-    stage, then each frame's slope -i U_I R_I; finish gets each slice's new
-    frames. A slice is one patch (also on one worker, so that the polar step
-    copies one matrix at a time), or the whole stack where D < `_PARALLEL_DIM`.
+    stage, then each frame's slope -i U_I R_I; finish gets each slice and
+    its new frames. A slice is one patch (also on one worker, so that the
+    polar step copies one matrix at a time), or the whole stack where
+    D < `_PARALLEL_DIM`.
     """
     count, dim = len(y), y.shape[-1]
     patches, touching = plan.patches, plan.touching
     n_prod = len(plan.products)
     whole = dim < _PARALLEL_DIM
     times = rk4_times(t, dt)
-    acc = np.empty_like(y)  # the running sum, then the new frames
     # the stage inputs, the products and, for whole-stack slices, the slopes
     # (a one-patch slice's slope is its task's own matrix)
     scratch = np.empty(((2 if whole else 1) * count + n_prod, dim, dim), dtype=y.dtype)
@@ -1042,42 +842,34 @@ def _rk4_frames(
 
     groups = ((n_prod, product), (count, frame))
     waits = functools.partial(_rk4_waits, touching, n_prod)
-    _rk4_job(y, (acc, x, k), dt, groups, waits, lambda rows: finish(acc[rows]))
-    return acc
+    return _rk4_job(y, (x, k), t, dt, steps, groups, waits, finish)
 
 
-def _rk4_waits(touching: Sequence[Sequence[int]], n_prod: int) -> Callable[[int], list[int]]:
-    """The tasks each task of `_rk4_frames`'s job reads: per stage, n_prod products,
-    then one frame per patch. Frame i at stage s waits for the products
-    touching[i] lists at stage s and for itself at s - 1. Product q at stage
-    s > 0 waits for the stage-(s - 1) frames that read q: they write the
-    stage inputs of q's factor patches, and they are q's slot's last readers.
+def _rk4_waits(touching: Sequence[Sequence[int]], n_prod: int) -> tuple[list, list]:
+    """The tasks each task of `_rk4_frames`'s job reads, as the (now, before)
+    lists `_rk4_job` waits by: per stage, n_prod products, then one frame per
+    patch. Frame i at stage s waits for the products touching[i] lists at
+    stage s and for itself at s - 1. Product q at stage s > 0 waits for the
+    stage-(s - 1) frames that read q: they write the stage inputs of q's
+    factor patches, and they are q's slot's last readers.
     """
     readers: list[list[int]] = [[] for _ in range(n_prod)]
     for i, near in enumerate(touching, n_prod):
         for q in near:
             readers[q].append(i)
     frames = range(n_prod, n_prod + len(touching))
-    return _stage_waits([()] * n_prod + list(touching), readers + [[i] for i in frames])
+    return [()] * n_prod + list(touching), readers + [[i] for i in frames]
 
 
-def _direct_waits(count: int, keys: Sequence[tuple[int, int]]) -> Callable[[int], list[int]]:
-    """The tasks each task of a direct-mode step's job reads: per stage, one patch
-    task per patch, then one link per key. Patch i at stage s waits for
-    itself and every link whose key holds i at stage s - 1: they write each
-    connection h_I reads and are h_I's slot's last readers. Link (i, j) at
-    stage s waits for patches i and j at stage s.
+def _direct_waits(count: int, keys: Sequence[tuple[int, int]]) -> tuple[list, list]:
+    """The tasks each task of a direct-mode step's job reads, as `_rk4_waits`
+    gives them: per stage, one patch task per patch, then one link per key.
+    Patch i at stage s waits for itself and every link whose key holds i at
+    stage s - 1: they write each connection h_I reads and are h_I's slot's
+    last readers. Link (i, j) at stage s waits for patches i and j at stage s.
     """
     near = [[i] + [count + m for m, key in enumerate(keys) if i in key] for i in range(count)]
-    return _stage_waits([()] * count + [list(key) for key in keys], near + [()] * len(keys))
-
-
-def _require_finite(a: np.ndarray, time: float, steps: int) -> None:
-    if not np.all(np.isfinite(a)):
-        raise DivergenceError(
-            f"integration diverged (non-finite values at t={time:.6g}, "
-            f"step {steps}); reduce dt"
-        )
+    return [()] * count + [list(key) for key in keys], near + [()] * len(keys)
 
 
 def step(

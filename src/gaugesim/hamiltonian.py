@@ -28,9 +28,9 @@ PAULI = {"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
 
 def pauli_on(labels: str, sites: Sequence[int], patch: Patch) -> np.ndarray:
     """Patch-local operator placing one Pauli per listed site, identity elsewhere."""
-    if len(labels) != len(sites):
-        raise ContractError(f"{len(labels)} labels for {len(sites)} sites")
-    placed = dict(zip(sites, labels.upper()))
+    placed = dict(zip(sites, labels.upper()))  # a repeated site would keep only its last label
+    if not len(placed) == len(labels) == len(sites):
+        raise ContractError(f"need one label per distinct site, got {labels!r} for {list(sites)}")
     unknown = set(placed.values()) - set(PAULI)
     if unknown:
         raise ContractError(f"unknown Pauli labels {sorted(unknown)}")

@@ -178,7 +178,7 @@ def test_criterion_3_identity_suite(tfim6, generator_run):
         cfg = IntegratorConfig(dt=dt, reunitarize_every=0, renormalize=False)
         st = init_gauge_state(psi0, h.cover, mode=DIRECT, hamiltonian=h)
         st = evolve(st, h, 0.5, cfg)
-        defects.append(st.diagnostics(include_cocycle=False).consistency)
+        defects.append(st.consistency())
     ratios = [defects[0] / defects[1], defects[1] / defects[2]]
     lo, hi = CONVERGENCE_BAND
     dir_ok = all(lo < r < hi for r in ratios)
@@ -252,12 +252,10 @@ def test_criterion_5_light_cone():
     for depth in range(1, 5):
         state = run_circuit(state, Circuit(n, [circuit.layers[depth - 1]]))
         for patch in cover.patches:
-            audit = audit_lightcone(
-                state, patch, depth, tol=TOL_SUPPORT, include_connections=False
-            )
+            audit = audit_lightcone(state, patch, depth, tol=TOL_SUPPORT)
             assert audit.ok, (
-                f"depth {depth}, {patch}: support {audit.frame_support} leaks "
-                f"outside {audit.allowed_sites}"
+                f"depth {depth}, {patch}: sites {audit.violations} of the frame or a "
+                f"connection lie outside {audit.allowed_sites}"
             )
             m = min(audit.margins)
             worst_margin = m if worst_margin is None else min(worst_margin, m)
@@ -266,9 +264,7 @@ def test_criterion_5_light_cone():
     cover9 = nn_pair_cover(n9)
     circuit9 = brickwork(n9, 5, gate_source=77)
     state9 = run_circuit(init_gauge_state(plus_state(n9), cover9), circuit9)
-    audit9 = audit_lightcone(
-        state9, Patch((6, 7)), 5, tol=TOL_SUPPORT, include_connections=True
-    )
+    audit9 = audit_lightcone(state9, Patch((6, 7)), 5, tol=TOL_SUPPORT)
     report(
         5,
         "light-cone confinement",
@@ -295,9 +291,7 @@ def test_criterion_6_measurement(tfim6, generator_run, bundles):
     consistency = 0.0
     for k in range(len(ks)):
         post, _ = apply_measurement(state, ks, outcome=k)
-        consistency = max(
-            consistency, post.diagnostics(include_cocycle=False).consistency
-        )
+        consistency = max(consistency, post.consistency())
 
     # commuting observables keep their expectation under outcome averaging
     observables = [

@@ -335,7 +335,7 @@ class TestLightCone:
                 state, Circuit(n, [circ.layers[depth - 1]])
             )
             for p in cover.patches:
-                audit = audit_lightcone(state, p, depth, include_connections=False)
+                audit = audit_lightcone(state, p, depth)
                 assert audit.ok, (p, depth, audit.violations)
 
     def test_distant_gates_leave_frame_exactly_identity(self):
@@ -351,7 +351,7 @@ class TestLightCone:
         cover = nn_pair_cover(n)
         circ = brickwork(n, 2, gate_source=8)
         state = run_circuit(init_gauge_state(plus_state(n), cover), circ)
-        audit = audit_lightcone(state, Patch((3, 4)), 2, include_connections=True)
+        audit = audit_lightcone(state, Patch((3, 4)), 2)
         assert audit.ok
         assert audit.connection_supports  # neighbours were audited
 
@@ -365,5 +365,5 @@ class TestLightCone:
         cover = nn_pair_cover(n)
         circ = brickwork(n, 1, gate_source=9)
         state = run_circuit(init_gauge_state(plus_state(n), cover), circ)
-        audit = audit_lightcone(state, Patch((4, 5)), 1, include_connections=False)
+        audit = audit_lightcone(state, Patch((4, 5)), 1)
         assert audit.margins[0] >= 0 and audit.margins[1] >= 0

@@ -266,6 +266,8 @@ class TestScenarios:
                        "circuit.audit_patches"),
             _bad_field("section39", "validate", {"integrator": {"renormalize": True}},
                        "integrator.renormalize"),
+            _bad_field("section40", "validate", {"observables": [{"pauli": "XZ", "sites": [1, 1]}]},
+                       "observables[0]"),
         ],
     )
     def test_bad_scenario_field_is_a_config_error(

@@ -425,7 +425,7 @@ class TestStepAndEvolve:
             cfg = IntegratorConfig(dt=dt, reunitarize_every=0, renormalize=False)
             state = init_gauge_state(psi0, h.cover, mode=DIRECT, hamiltonian=h)
             state = evolve(state, h, 0.4, cfg)
-            return state.diagnostics(include_cocycle=False).consistency
+            return state.consistency()
 
         d1, d2 = defect_at(4e-3), defect_at(2e-3)
         assert 12.0 < d1 / d2 < 20.0
@@ -687,7 +687,7 @@ class TestPlainGaugeStorage:
         rng = np.random.default_rng(103)
         g = GaugeTransform({p: random_unitary(16, rng) for p in h.cover.patches})
         state = step(gauge_transform(state, g), h, CFG)
-        assert state.diagnostics(include_cocycle=False).consistency < 1e-12
+        assert state.consistency() < 1e-12
 
 
 class TestCommutingLayers:
@@ -1890,7 +1890,7 @@ class TestModeClasses:
             assert all(np.array_equal(a, b) for a, b in zip(arrays, before))
             assert type(out) is type(state)
             assert out.mode == mode
-            assert out.diagnostics(include_cocycle=False).consistency < 1e-10
+            assert out.consistency() < 1e-10
             state = out
 
     def test_direct_state_is_one_packed_array(self):

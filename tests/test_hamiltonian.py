@@ -201,6 +201,11 @@ class TestHelpers:
         with pytest.raises(ContractError):
             pauli_on("X", (1,), Patch((2, 3)))
 
+    def test_pauli_on_repeated_site_raises(self):
+        # one operator per site: "XZ" on (2, 2) is no Pauli string, not Z_2
+        with pytest.raises(ContractError, match="one label per distinct site"):
+            pauli_on("XZ", (2, 2), Patch((2, 3)))
+
     def test_build_model_dispatch(self):
         h = build_model("tfim", 3, {"j": 1.0, "g": 0.5})
         assert np.abs(h.total() - dense_tfim(3, 1.0, 0.5)).max() < 1e-14

@@ -198,7 +198,7 @@ class TestApplyMeasurement:
     def test_post_measurement_consistency_restored(self, evolved):
         _, _, state, _ = evolved
         new, _ = apply_measurement(state, site_projectors(Patch((2, 3)), 3), outcome=1)
-        assert new.diagnostics(include_cocycle=False).consistency < 1e-12
+        assert new.consistency() < 1e-12
 
     def test_direct_mode_transport_is_exact(self):
         h = tfim_chain(4, 1.0, 1.0)
@@ -207,7 +207,7 @@ class TestApplyMeasurement:
         state = evolve(state, h, 0.3, IntegratorConfig(dt=1e-3))
         new, _ = apply_measurement(state, site_projectors(Patch((1, 2)), 1), outcome=0)
         # transport along the connection tree leaves no residual defect at all
-        assert new.diagnostics(include_cocycle=False).consistency < 1e-13
+        assert new.consistency() < 1e-13
 
     def test_impossible_outcome_raises(self):
         cover = nn_pair_cover(3)

@@ -1,10 +1,11 @@
-"""The thread contract of `gauge._each`, the patch-parallel executor.
+"""The thread contract of `integrate._each`, the patch-parallel executor.
 
-An RK4 step, in either mode, is one `_each` job of per-patch (and, in
-direct mode, per-link) tasks, each waiting only for the tasks it reads, on
-`gauge._WORKERS` threads: usable cores // pinned BLAS threads, and 1 when
-the BLAS thread count is not pinned. The results do not depend on the
-worker count, bit for bit. Tests set the count by patching `_WORKERS`.
+An RK4 step, in either mode, is one `_each` job (`integrate._rk4_job`) of
+per-patch (and, in direct mode, per-link) tasks that `gauge` defines, each
+waiting only for the tasks it reads, on `integrate._WORKERS` threads: usable
+cores // pinned BLAS threads, and 1 when the BLAS thread count is not
+pinned. The results do not depend on the worker count, bit for bit. Tests
+set the count by patching `integrate._WORKERS`.
 """
 
 import faulthandler
@@ -24,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gaugesim.gauge as gauge_module
+import gaugesim.integrate as integrate_module
 from gaugesim.errors import DivergenceError
 from gaugesim.gauge import DIRECT, GENERATOR, MODES, IntegratorConfig, evolve, init_gauge_state, step
 from gaugesim.hamiltonian import (
@@ -77,7 +79,7 @@ def test_generator_frames_match_the_eager_formula_bitwise(monkeypatch, n, model,
     cfg = IntegratorConfig(dt=1e-3, reunitarize_every=every)
     want = eager_generator_frames(h, 20, cfg.dt, every)
     for workers in (1, 2, 4):
-        monkeypatch.setattr(gauge_module, "_WORKERS", workers)
+        monkeypatch.setattr(integrate_module, "_WORKERS", workers)
         state = evolve(init_gauge_state(plus_state(n), h.cover), h, 20 * cfg.dt, cfg)
         assert state.steps == 20
         assert np.array_equal(state.frame_stack, want), workers
@@ -97,7 +99,7 @@ def test_direct_packed_matches_the_eager_formula_bitwise(monkeypatch, n, model, 
     cfg = IntegratorConfig(dt=1e-3, reunitarize_every=every, renormalize=renormalize)
     want = eager_direct_packed(h, psi0, steps, cfg.dt, every, renormalize)
     for workers in (1, 2, 4):
-        monkeypatch.setattr(gauge_module, "_WORKERS", workers)
+        monkeypatch.setattr(integrate_module, "_WORKERS", workers)
         state = init_gauge_state(psi0, h.cover, mode=DIRECT, hamiltonian=h)
         state = evolve(state, h, steps * cfg.dt, cfg)
         assert state.steps == steps
@@ -108,15 +110,15 @@ def test_direct_packed_matches_the_eager_formula_bitwise(monkeypatch, n, model, 
 @pytest.mark.parametrize("mode", MODES)
 def test_a_step_posts_one_job(monkeypatch, mode, n, posts):
     h = _model(mode, n)
-    monkeypatch.setattr(gauge_module, "_WORKERS", 2)
+    monkeypatch.setattr(integrate_module, "_WORKERS", 2)
     posted = []
-    post = gauge_module._Pool.post
+    post = integrate_module._Pool.post
 
     def counted(pool, job, helpers):
         posted.append(helpers)
         post(pool, job, helpers)
 
-    monkeypatch.setattr(gauge_module._Pool, "post", counted)
+    monkeypatch.setattr(integrate_module._Pool, "post", counted)
     cfg = IntegratorConfig(dt=1e-3, reunitarize_every=1)  # the slopes and the polar step
     state = step(init_gauge_state(plus_state(n), h.cover, mode=mode, hamiltonian=h), h, cfg)
     assert posted == posts
@@ -154,7 +156,7 @@ def test_a_failed_task_ends_the_job_with_the_lowest_error(monkeypatch, capfd, mo
 
     state = init_gauge_state(plus_state(n), h.cover, mode=mode, hamiltonian=h)
     cfg = IntegratorConfig(dt=1e-3, reunitarize_every=1)
-    monkeypatch.setattr(gauge_module, "_WORKERS", 4)
+    monkeypatch.setattr(integrate_module, "_WORKERS", 4)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     with capfd.disabled():  # so that the stacks reach the terminal
@@ -243,16 +245,19 @@ def _assert_ordered(tasks, waits):
 @given(_plans())
 def test_the_step_waits_order_every_conflicting_pair_of_tasks(drawn):
     plan, keys = drawn
-    _assert_ordered(_generator_tasks(plan), gauge_module._rk4_waits(plan.touching, len(plan.products)))
-    _assert_ordered(_direct_tasks(plan, keys), gauge_module._direct_waits(len(plan.patches), keys))
+    generator = gauge_module._rk4_waits(plan.touching, len(plan.products))
+    direct = gauge_module._direct_waits(len(plan.patches), keys)
+    _assert_ordered(_generator_tasks(plan), integrate_module._stage_waits(*generator))
+    _assert_ordered(_direct_tasks(plan, keys), integrate_module._stage_waits(*direct))
 
 
 def test_unpinned_blas_starts_no_thread():
     probe = (
         "import threading\n"
         "import gaugesim.gauge as g\n"
+        "import gaugesim.integrate as integrate\n"
         "from gaugesim.hamiltonian import heisenberg_chain, tfim_chain\n"
-        "assert g._WORKERS == 1, g._WORKERS\n"
+        "assert integrate._WORKERS == 1, integrate._WORKERS\n"
         "psi = [0j] * 2**7\n"
         "psi[0] = 1.0\n"
         "cfg = g.IntegratorConfig(dt=1e-3, reunitarize_every=1)\n"
@@ -286,18 +291,18 @@ def test_workers_are_cores_over_blas_threads(monkeypatch, environ, workers):
     for var, value in environ.items():
         monkeypatch.setenv(var, value)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-    assert gauge_module._default_workers() == workers
+    assert integrate_module._default_workers() == workers
 
 
-def test_small_matrices_stay_on_the_calling_thread(monkeypatch):
-    monkeypatch.setattr(gauge_module, "_WORKERS", 2)
-    ran = []
-    gauge_module._each(6, lambda i: ran.append((i, threading.get_ident())), gauge_module._PARALLEL_DIM // 2)
-    assert ran == [(i, threading.get_ident()) for i in range(6)]
+def test_the_executor_lives_only_in_integrate():
+    # a test patching gauge._WORKERS or gauge._each would patch a name no step reads
+    for name in ("_WORKERS", "_each", "_Pool", "_stage_waits"):
+        assert not hasattr(gauge_module, name), name
+        assert hasattr(integrate_module, name), name
 
 
 def test_every_index_runs_once_under_contention(monkeypatch):
-    monkeypatch.setattr(gauge_module, "_WORKERS", 4)  # likely more threads than cores
+    monkeypatch.setattr(integrate_module, "_WORKERS", 4)  # likely more threads than cores
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -307,14 +312,14 @@ def test_every_index_runs_once_under_contention(monkeypatch):
             def task(i):
                 hits[i] += 1
 
-            gauge_module._each(len(hits), task, gauge_module._PARALLEL_DIM)
+            integrate_module._each(len(hits), task, lambda i: ())
             assert hits == [1] * len(hits)  # a lost update of the shared counter repeats or drops one
     finally:
         sys.setswitchinterval(interval)
 
 
 def test_the_lowest_failing_index_is_raised_after_every_task(monkeypatch):
-    monkeypatch.setattr(gauge_module, "_WORKERS", 2)
+    monkeypatch.setattr(integrate_module, "_WORKERS", 2)
     ran = set()
 
     def task(i):
@@ -326,7 +331,7 @@ def test_the_lowest_failing_index_is_raised_after_every_task(monkeypatch):
     for _ in range(5):
         ran.clear()
         with pytest.raises(ValueError) as info:
-            gauge_module._each(12, task, gauge_module._PARALLEL_DIM)
+            integrate_module._each(12, task, lambda i: ())
         assert info.value.args == (3,)
         assert set(range(4)) <= ran  # every index up to the failure ran
 
@@ -339,7 +344,7 @@ def test_failed_polar_step_raises_the_serial_message(monkeypatch, mode):
     cfg = IntegratorConfig(dt=0.3, reunitarize_every=1)
     messages = []
     for workers in (1, 2):
-        monkeypatch.setattr(gauge_module, "_WORKERS", workers)
+        monkeypatch.setattr(integrate_module, "_WORKERS", workers)
         state = init_gauge_state(plus_state(n), h.cover, mode=mode, hamiltonian=h)
         with pytest.raises(DivergenceError, match="re-unitarization failed") as info:
             step(state, h, cfg)
@@ -349,10 +354,10 @@ def test_failed_polar_step_raises_the_serial_message(monkeypatch, mode):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_diverging_step_on_workers_warns_as_little_as_serial(monkeypatch, mode):
-    # the workers run under the step's np.errstate(over="ignore", invalid="ignore")
+    # the workers run under the job's np.errstate(over="ignore", invalid="ignore")
     n = 7
     h = _model(mode, n)
-    monkeypatch.setattr(gauge_module, "_WORKERS", 2)
+    monkeypatch.setattr(integrate_module, "_WORKERS", 2)
     state = init_gauge_state(plus_state(n), h.cover, mode=mode, hamiltonian=h)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -366,7 +371,7 @@ def test_forked_child_steps_on_a_pool_of_its_own(monkeypatch):
     n = 7
     h = tfim_chain(n)
     cfg = IntegratorConfig(dt=1e-3, reunitarize_every=1)
-    monkeypatch.setattr(gauge_module, "_WORKERS", 2)
+    monkeypatch.setattr(integrate_module, "_WORKERS", 2)
     state = step(init_gauge_state(plus_state(n), h.cover), h, cfg)  # the parent's helper is running
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DeprecationWarning)  # forking a threaded process
@@ -392,9 +397,9 @@ def test_forked_child_steps_on_a_pool_of_its_own(monkeypatch):
 
 
 def test_helpers_persist_between_calls(monkeypatch):
-    monkeypatch.setattr(gauge_module, "_WORKERS", 2)
-    gauge_module._each(2, lambda i: None, gauge_module._PARALLEL_DIM)
+    monkeypatch.setattr(integrate_module, "_WORKERS", 2)
+    integrate_module._each(2, lambda i: None, lambda i: ())
     before = threading.active_count()
     for _ in range(3):
-        gauge_module._each(4, lambda i: None, gauge_module._PARALLEL_DIM)
+        integrate_module._each(4, lambda i: None, lambda i: ())
     assert threading.active_count() == before
